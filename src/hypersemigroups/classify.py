@@ -1,7 +1,8 @@
 """Decide the five regularity classes of a finite hypersemigroup by three
 independent routes and verify per table that the routes agree.
 
-Routes per class:
+Each class is written down once, as a bracketed template in ``TEMPLATES``;
+every route evaluates that template in its own algebra:
 
 * ``elementwise``  -- exhaustive search for the defining witnesses,
 * ``subset-1`` / ``subset-2`` -- the equivalent product-membership and
@@ -17,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .core import CarrierMismatchError, HyperOp, NotAssociativeError, full_mask
 from .fuzzy import FuzzySubset, compose_chain, one, point, random_fuzzy_subset
@@ -35,31 +36,26 @@ class RegularityClass(Enum):
 
 CLASS_ORDER: tuple[RegularityClass, ...] = tuple(RegularityClass)
 
-# Right-hand chain templates of the fuzzy characterizations, per class.
-FUZZY_PATTERNS: dict[RegularityClass, tuple[str, ...]] = {
-    RegularityClass.REGULAR: ("f", "1", "f"),
-    RegularityClass.INTRA_REGULAR: ("1", "f", "f", "1"),
-    RegularityClass.LEFT_QUASI_REGULAR: ("1", "f", "1", "f"),
-    RegularityClass.RIGHT_QUASI_REGULAR: ("f", "1", "f", "1"),
-    RegularityClass.SEMISIMPLE: ("1", "f", "1", "f", "1"),
+# One bracketed template per class, the definition's own right-hand side.
+# ``p`` is the binary product of the algebra a route works in, ``s`` holds
+# the element (or subset, or fuzzy subset) under test and the remaining
+# slots the witnesses; each route evaluates the same brackets.
+TEMPLATES: dict[RegularityClass, Callable[..., Any]] = {
+    # a in (a o x) o a
+    RegularityClass.REGULAR: lambda p, s, x: p(p(s, x), s),
+    # a in (x o a)(a o y)
+    RegularityClass.INTRA_REGULAR: lambda p, s, x, y: p(p(x, s), p(s, y)),
+    # a in (x o a)(y o a)
+    RegularityClass.LEFT_QUASI_REGULAR: lambda p, s, x, y: p(p(x, s), p(y, s)),
+    # a in (a o x)(a o y)
+    RegularityClass.RIGHT_QUASI_REGULAR: lambda p, s, x, y: p(p(s, x), p(s, y)),
+    # a in ((x o a)(y o a)) o z
+    RegularityClass.SEMISIMPLE: lambda p, s, x, y, z: p(p(p(x, s), p(y, s)), z),
 }
 
-# Factor templates of the subset-product definitions; "S" is the slot that
-# holds {a} (variant 1) or an arbitrary nonempty A (variant 2).
-_SUBSET_TEMPLATES: dict[RegularityClass, tuple[str, ...]] = {
-    RegularityClass.REGULAR: ("S", "H", "S"),
-    RegularityClass.INTRA_REGULAR: ("H", "S", "S", "H"),
-    RegularityClass.LEFT_QUASI_REGULAR: ("H", "S", "H", "S"),
-    RegularityClass.RIGHT_QUASI_REGULAR: ("S", "H", "S", "H"),
-    RegularityClass.SEMISIMPLE: ("H", "S", "H", "S", "H"),
-}
-
+# witness slots: every template argument after the product and the S slot
 _WITNESS_ARITY: dict[RegularityClass, int] = {
-    RegularityClass.REGULAR: 1,
-    RegularityClass.INTRA_REGULAR: 2,
-    RegularityClass.LEFT_QUASI_REGULAR: 2,
-    RegularityClass.RIGHT_QUASI_REGULAR: 2,
-    RegularityClass.SEMISIMPLE: 3,
+    cls: t.__code__.co_argcount - 2 for cls, t in TEMPLATES.items()
 }
 
 
@@ -68,9 +64,8 @@ def element_membership(
 ) -> bool:
     """Evaluate the raw defining membership of class ``cls`` at element a.
 
-    ``witnesses`` is (x,) for regular, (x, y) for the intra/quasi classes
-    and (x, y, z) for semisimple.  Used both by the elementwise decision
-    search and to re-verify stored witnesses.
+    ``witnesses`` fill the template's witness slots in order; used by the
+    elementwise decision search and to re-verify stored witnesses.
     """
     if len(witnesses) != _WITNESS_ARITY[cls]:
         raise ValueError(
@@ -78,22 +73,18 @@ def element_membership(
             f"got {len(witnesses)}"
         )
     bit = 1 << a
-    cell = h.hyper_product
-    if cls is RegularityClass.REGULAR:
-        (x,) = witnesses
-        return bool(h.set_product(cell(a, x), bit) & bit)
-    if cls is RegularityClass.INTRA_REGULAR:
-        x, y = witnesses
-        return bool(h.set_product(cell(x, a), cell(a, y)) & bit)
-    if cls is RegularityClass.LEFT_QUASI_REGULAR:
-        x, y = witnesses
-        return bool(h.set_product(cell(x, a), cell(y, a)) & bit)
-    if cls is RegularityClass.RIGHT_QUASI_REGULAR:
-        x, y = witnesses
-        return bool(h.set_product(cell(a, x), cell(a, y)) & bit)
-    x, y, z = witnesses  # semisimple
-    inner = h.set_product(cell(x, a), cell(y, a))
-    return bool(h.set_product(inner, 1 << z) & bit)
+    return bool(
+        TEMPLATES[cls](h.set_product, bit, *(1 << x for x in witnesses)) & bit
+    )
+
+
+def _fuzzy_chain(
+    h: HyperOp, cls: RegularityClass, f: FuzzySubset, top: FuzzySubset
+) -> FuzzySubset:
+    # the class template in the fuzzy algebra: f in S, top = one(n) in H
+    return TEMPLATES[cls](
+        lambda u, v: compose_chain(h, (u, v)), f, *(top,) * _WITNESS_ARITY[cls]
+    )
 
 
 @dataclass(frozen=True)
@@ -138,15 +129,9 @@ def verify_witness(h: HyperOp, w: Witness) -> bool:
         )
     if w.route == "fuzzy":
         f = point(h.order, w.element)
-        ok = f.leq(compose_chain(h, _instantiate(FUZZY_PATTERNS[w.cls], f, one(h.order))))
+        ok = f.leq(_fuzzy_chain(h, w.cls, f, one(h.order)))
         return ok if w.holds else not ok
     raise ValueError(f"unknown witness route {w.route!r}")
-
-
-def _instantiate(
-    pattern: Sequence[str], f: FuzzySubset, top: FuzzySubset
-) -> list[FuzzySubset]:
-    return [f if tok == "f" else top for tok in pattern]
 
 
 def _require_hypersemigroup(h: HyperOp) -> None:
@@ -185,10 +170,25 @@ def is_class_elementwise(
     return _elementwise_holds(h, cls)
 
 
-def _subset_product(h: HyperOp, cls: RegularityClass, s_mask: int) -> int:
-    full = full_mask(h.order)
-    factors = [s_mask if tok == "S" else full for tok in _SUBSET_TEMPLATES[cls]]
-    return h.n_fold_product(factors)
+def _subset_holds(
+    h: HyperOp,
+    cls: RegularityClass,
+    variant: int,
+    max_order: int = SUBSET_ALL_ORDER_CAP,
+) -> bool:
+    # no associativity precondition here; the public wrapper adds it
+    if variant not in (1, 2):
+        raise ValueError(f"variant must be 1 or 2, got {variant}")
+    if variant == 2 and h.order > max_order:
+        raise ValueError(
+            f"variant 2 walks 2^{h.order} subsets; cap is order {max_order}"
+        )
+    singletons = [1 << a for a in range(h.order)]
+    s_masks = range(1, 1 << h.order) if variant == 2 else singletons
+    full = (full_mask(h.order),) * _WITNESS_ARITY[cls]
+    return all(
+        TEMPLATES[cls](h.set_product, s, *full) & s == s for s in s_masks
+    )
 
 
 def is_class_subsetdef(
@@ -204,29 +204,15 @@ def is_class_subsetdef(
     nonempty A (refused above ``max_order`` to bound the 2^n walk).
     """
     _require_hypersemigroup(h)
-    if variant == 1:
-        return all(
-            _subset_product(h, cls, 1 << a) >> a & 1 for a in range(h.order)
-        )
-    if variant == 2:
-        if h.order > max_order:
-            raise ValueError(
-                f"variant 2 walks 2^{h.order} subsets; cap is order {max_order}"
-            )
-        for a_mask in range(1, 1 << h.order):
-            if _subset_product(h, cls, a_mask) & a_mask != a_mask:
-                return False
-        return True
-    raise ValueError(f"variant must be 1 or 2, got {variant}")
+    return _subset_holds(h, cls, variant, max_order)
 
 
 def _fuzzy_pointset_holds(h: HyperOp, cls: RegularityClass) -> tuple[bool, list[Witness]]:
     top = one(h.order)
-    pattern = FUZZY_PATTERNS[cls]
     witnesses = []
     for a in range(h.order):
         f = point(h.order, a)
-        if f.leq(compose_chain(h, _instantiate(pattern, f, top))):
+        if f.leq(_fuzzy_chain(h, cls, f, top)):
             witnesses.append(Witness(cls, a, "fuzzy", True))
         else:
             return False, [Witness(cls, a, "fuzzy", False, fuzzy_subset=f)]
@@ -247,15 +233,15 @@ def is_class_fuzzy(h: HyperOp, cls: RegularityClass) -> tuple[bool, list[Witness
 def fuzzy_inequality_holds(
     h: HyperOp, cls: RegularityClass, f: FuzzySubset
 ) -> bool:
-    """Whether f <= (class pattern chain at f) on the given table.
+    """Whether f <= (class template at f, with 1 in the witness slots).
 
-    Mechanically evaluable on any hypergroupoid (left-fold convention);
-    only on hypersemigroups is it tied to the class property.
+    Evaluable on any hypergroupoid.  The template keeps the definition's
+    brackets, so wherever the elementwise definition holds the inequality
+    holds for every f, associative or not.
     """
     if f.order != h.order:
         raise CarrierMismatchError("fuzzy subset carrier does not match the table")
-    chain = compose_chain(h, _instantiate(FUZZY_PATTERNS[cls], f, one(h.order)))
-    return f.leq(chain)
+    return f.leq(_fuzzy_chain(h, cls, f, one(h.order)))
 
 
 @dataclass
@@ -404,8 +390,9 @@ def verify_theorems(
     bug) and is returned in the report rather than raised.  For a class
     the table fails, the recorded failing indicator is re-checked.
     """
-    _require_hypersemigroup(h)
-    report = classify(h)
+    if random_trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {random_trials}")
+    report = classify(h)  # raises NotAssociativeError off hypersemigroups
     rng = random.Random(f"verify:{seed}")
     checks = []
     for cls in CLASS_ORDER:

@@ -16,11 +16,7 @@ from typing import Optional, Sequence
 
 from .classify import CLASS_ORDER, ClassificationReport, classify, verify_theorems
 from .core import CarrierMismatchError, HyperOp, NotAssociativeError
-from .enumeration import (
-    EnumerationBudgetError,
-    census,
-    search_nonassociative_divergence,
-)
+from .enumeration import EnumerationBudgetError, census
 from .fuzzy import FuzzySubset, compose
 from .ideals import (
     is_fuzzy_left_ideal,
@@ -42,8 +38,14 @@ def _fail(message: str, code: int) -> int:
 
 
 def _load_table(path: str) -> HyperOp:
-    with open(path, encoding="utf-8") as fh:
-        return parse_table(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise TableParseError(line_no, "not UTF-8 text") from None
+    return parse_table(text)
 
 
 def _parse_fuzzy(text: str, order: int) -> FuzzySubset:
@@ -113,6 +115,8 @@ def _cmd_verify(args) -> int:
         report = verify_theorems(h, random_trials=args.trials, seed=args.seed)
     except NotAssociativeError:
         return _fail("input table is not a hypersemigroup", EXIT_NOT_ASSOCIATIVE)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -182,29 +186,6 @@ def _cmd_ideals(args) -> int:
     return EXIT_OK
 
 
-def _cmd_search_nonassoc(args) -> int:
-    try:
-        result = search_nonassociative_divergence(
-            args.order, args.budget, seed=args.seed
-        )
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    if result.finding is None:
-        print(
-            f"budget exhausted, none found "
-            f"(examined {result.examined} non-associative tables)"
-        )
-    else:
-        finding = result.finding
-        print(
-            f"divergence found after {result.examined} non-associative tables: "
-            f"class {finding.cls.value}: elementwise={_yes(finding.elementwise)} "
-            f"fuzzy={_yes(finding.fuzzy_pointset)}"
-        )
-        print(finding.table_text, end="")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypersemigroups",
@@ -243,15 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table")
     p.add_argument("--f", required=True)
     p.set_defaults(func=_cmd_ideals)
-
-    p = sub.add_parser(
-        "search-nonassoc",
-        help="look for definitional/fuzzy divergence on non-associative tables",
-    )
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", default="0")
-    p.set_defaults(func=_cmd_search_nonassoc)
 
     return parser
 

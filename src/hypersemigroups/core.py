@@ -108,6 +108,7 @@ class HyperOp:
                 )
         self.order = order
         self.cells = cells
+        self._full = full
         self._assoc: bool | None = None
         self._pairs: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
@@ -158,7 +159,7 @@ class HyperOp:
         empty the result is the empty mask (the unique monotone extension,
         kept so folds and filters compose cleanly).
         """
-        full = full_mask(self.order)
+        full = self._full
         if not (0 <= a_mask <= full and 0 <= b_mask <= full):
             raise ValueError("operand is not a subset of the carrier")
         if a_mask == 0 or b_mask == 0:

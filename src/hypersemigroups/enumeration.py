@@ -1,6 +1,5 @@
 """Table-space exploration: exhaustive and seeded-random generation of
-hyperoperation tables, associativity filtering, classification censuses,
-and the search for definitional/fuzzy divergence off the associative world.
+hyperoperation tables, associativity filtering and classification censuses.
 
 Census runs partition the table space deterministically (exhaustive mode
 splits on the first cell's subset value, sampled mode on index ranges), so
@@ -12,18 +11,11 @@ from __future__ import annotations
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .classify import (
-    CLASS_ORDER,
-    RegularityClass,
-    _elementwise_holds,
-    _fuzzy_pointset_holds,
-    classify,
-)
+from .classify import CLASS_ORDER, classify
 from .core import HyperOp, _associative
-from .tableio import serialize_table
 
 # exhaustive enumeration is refused above this many tables unless the
 # caller explicitly opts in (which still only unlocks order 3)
@@ -268,85 +260,3 @@ def census(
     report.validate()
     return report
 
-
-@dataclass
-class DivergenceFinding:
-    """A non-associative table where the definitional and fuzzy point-set
-    routes disagree for some class; the table travels in serialized form so
-    the finding can be re-verified from the report alone."""
-
-    table_text: str
-    cls: RegularityClass
-    elementwise: bool
-    fuzzy_pointset: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "table": self.table_text,
-            "class": self.cls.value,
-            "elementwise": self.elementwise,
-            "fuzzy_pointset": self.fuzzy_pointset,
-        }
-
-
-@dataclass
-class SearchResult:
-    finding: Optional[DivergenceFinding]
-    examined: int  # non-associative tables actually tested
-    draws: int = field(default=0)  # candidate tables inspected
-
-
-def _divergence_on(h: HyperOp) -> Optional[DivergenceFinding]:
-    for cls in CLASS_ORDER:
-        ew = _elementwise_holds(h, cls)[0]
-        fz = _fuzzy_pointset_holds(h, cls)[0]
-        if ew != fz:
-            return DivergenceFinding(serialize_table(h), cls, ew, fz)
-    return None
-
-
-def search_nonassociative_divergence(
-    order: int,
-    budget: int,
-    seed=0,
-    *,
-    exhaustive: bool = False,
-    allow_large: bool = False,
-) -> SearchResult:
-    """Look for a non-associative table whose routes disagree.
-
-    Tests up to ``budget`` non-associative tables, drawn either from the
-    deterministic exhaustive stream or from seeded random draws (capped at
-    1000 + 100 * budget draws so carriers with rare non-associative tables
-    still terminate).  Evidence gathering only: no claim is made when the
-    budget runs out.
-    """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    examined = 0
-    draws = 0
-    if exhaustive:
-        stream: Iterator[HyperOp] = enumerate_hypergroupoids(order, allow_large)
-        for h in stream:
-            if examined >= budget:
-                break
-            draws += 1
-            if h.is_hypersemigroup():
-                continue
-            examined += 1
-            finding = _divergence_on(h)
-            if finding is not None:
-                return SearchResult(finding, examined, draws)
-        return SearchResult(None, examined, draws)
-
-    draw_cap = 1000 + 100 * budget
-    while examined < budget and draws < draw_cap:
-        h = random_hypergroupoid(order, _sample_seed(seed, draws))
-        draws += 1
-        if h.is_hypersemigroup():
-            continue
-        examined += 1
-        finding = _divergence_on(h)
-        if finding is not None:
-            return SearchResult(finding, examined, draws)
-    return SearchResult(None, examined, draws)

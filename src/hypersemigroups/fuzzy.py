@@ -117,9 +117,7 @@ def compose_chain(h: HyperOp, factors: Sequence[FuzzySubset]) -> FuzzySubset:
     """Left-associated fold of compose over a nonempty factor list.
 
     On hypersemigroups composition is associative, so the fold order is
-    irrelevant; on non-associative tables the left fold is a documented
-    convention (useful for counterexample exploration), not a canonical
-    value.
+    irrelevant.
     """
     if not factors:
         raise ValueError("compose_chain needs at least one factor")

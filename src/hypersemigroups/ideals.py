@@ -22,71 +22,55 @@ def _check_carrier(h: HyperOp, f: FuzzySubset) -> None:
         raise CarrierMismatchError("fuzzy subset carrier does not match the table")
 
 
-def is_fuzzy_right_ideal(h: HyperOp, f: FuzzySubset) -> bool:
-    """True iff f(u) >= f(x) whenever u lies in the hyperproduct x o y."""
+def _is_fuzzy_ideal(h: HyperOp, f: FuzzySubset, right: bool) -> bool:
+    # u in x o y must have f(u) >= f(x) (right ideal) or f(y) (left ideal)
     _check_carrier(h, f)
     order = h.order
     cells = h.cells
     bits = _bit_lists(order)
     vals = f.values
     for x in range(order):
-        fx = vals[x]
         row = x * order
         for y in range(order):
+            bound = vals[x] if right else vals[y]
             for u in bits[cells[row + y]]:
-                if vals[u] < fx:
+                if vals[u] < bound:
                     return False
     return True
+
+
+def is_fuzzy_right_ideal(h: HyperOp, f: FuzzySubset) -> bool:
+    """True iff f(u) >= f(x) whenever u lies in the hyperproduct x o y."""
+    return _is_fuzzy_ideal(h, f, right=True)
 
 
 def is_fuzzy_left_ideal(h: HyperOp, f: FuzzySubset) -> bool:
     """True iff f(u) >= f(y) whenever u lies in the hyperproduct x o y."""
+    return _is_fuzzy_ideal(h, f, right=False)
+
+
+def _ideal_closure(h: HyperOp, f: FuzzySubset, right: bool) -> FuzzySubset:
+    # iterate g -> join(g, g o 1) (right) or join(g, 1 o g) (left); values
+    # never leave values(f) union {0} and grow pointwise, so this terminates
     _check_carrier(h, f)
-    order = h.order
-    cells = h.cells
-    bits = _bit_lists(order)
-    vals = f.values
-    for x in range(order):
-        row = x * order
-        for y in range(order):
-            fy = vals[y]
-            for u in bits[cells[row + y]]:
-                if vals[u] < fy:
-                    return False
-    return True
-
-
-def _join(f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
-    # pointwise max; closure plumbing only, not part of the calculus surface
-    return FuzzySubset(a if a >= b else b for a, b in zip(f.values, g.values))
+    top = one(h.order)
+    g = f
+    while True:
+        step = compose(h, g, top) if right else compose(h, top, g)
+        nxt = FuzzySubset(a if a >= b else b for a, b in zip(g.values, step.values))
+        if nxt == g:
+            return g
+        g = nxt
 
 
 def right_ideal_closure(h: HyperOp, f: FuzzySubset) -> FuzzySubset:
-    """Least fuzzy right ideal above f.
-
-    Iterates g -> join(g, g o 1) to a fixpoint.  Values never leave
-    values(f) union {0} and grow pointwise, so the iteration terminates.
-    """
-    _check_carrier(h, f)
-    top = one(h.order)
-    g = f
-    while True:
-        nxt = _join(g, compose(h, g, top))
-        if nxt == g:
-            return g
-        g = nxt
+    """Least fuzzy right ideal above f."""
+    return _ideal_closure(h, f, right=True)
 
 
 def left_ideal_closure(h: HyperOp, f: FuzzySubset) -> FuzzySubset:
-    """Least fuzzy left ideal above f, via g -> join(g, 1 o g)."""
-    _check_carrier(h, f)
-    top = one(h.order)
-    g = f
-    while True:
-        nxt = _join(g, compose(h, top, g))
-        if nxt == g:
-            return g
-        g = nxt
+    """Least fuzzy left ideal above f."""
+    return _ideal_closure(h, f, right=False)
 
 
 def check_meet_identity(h: HyperOp, f: FuzzySubset, g: FuzzySubset) -> bool:

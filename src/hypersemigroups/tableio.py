@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import HyperOp, mask_elements, subset_mask
+from .core import MAX_ORDER, HyperOp, mask_elements, subset_mask
 
 FORMAT_HEADER = "hypertable v1"
 
@@ -56,8 +56,10 @@ class TableDocument:
             order = int(lines[1][len("order:") :].strip())
         except ValueError:
             raise TableParseError(2, "order is not an integer") from None
-        if order < 1:
-            raise TableParseError(2, f"order must be positive, got {order}")
+        if not 1 <= order <= MAX_ORDER:
+            raise TableParseError(
+                2, f"order must be positive and at most {MAX_ORDER}, got {order}"
+            )
 
         names: Optional[tuple[str, ...]] = None
         body_start = 2

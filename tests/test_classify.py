@@ -19,8 +19,15 @@ from hypersemigroups import (
     is_class_subsetdef,
     point,
     random_fuzzy_subset,
+    random_hypergroupoid,
+    serialize_table,
     verify_theorems,
     verify_witness,
+)
+from hypersemigroups.classify import (
+    _elementwise_holds,
+    _fuzzy_pointset_holds,
+    _subset_holds,
 )
 
 from .oracles import CLASS_ORACLES, table_view
@@ -144,6 +151,33 @@ def test_fuzzy_inequality_accepts_non_associative_tables():
     f = FuzzySubset([Fraction(1, 2), Fraction(1, 4)])
     for cls in CLASS_ORDER:
         fuzzy_inequality_holds(NON_ASSOCIATIVE_2, cls, f)  # must not raise
+
+
+def test_routes_agree_off_associativity(order2_tables):
+    # every route evaluates the class template with the definition's own
+    # brackets, so the routes agree on any hypergroupoid, and a table that
+    # meets the definition satisfies the fuzzy inequality for every f; the
+    # route internals skip the associativity precondition
+    tables = order2_tables + [
+        random_hypergroupoid(3, f"off-assoc:{i}") for i in range(2000)
+    ]
+    assert sum(not h.is_hypersemigroup() for h in tables) >= 2000
+    rng = random.Random("off-assoc")
+    for h in tables:
+        for cls in CLASS_ORDER:
+            held = _elementwise_holds(h, cls)[0]
+            routes = (
+                _subset_holds(h, cls, 1),
+                _subset_holds(h, cls, 2),
+                _fuzzy_pointset_holds(h, cls)[0],
+            )
+            assert routes == (held,) * 3, (cls.value, serialize_table(h))
+            if held:
+                for _ in range(2):
+                    f = random_fuzzy_subset(h.order, rng)
+                    assert fuzzy_inequality_holds(h, cls, f), (
+                        cls.value, serialize_table(h), f,
+                    )
 
 
 def test_element_membership_arity_checked():

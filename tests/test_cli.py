@@ -52,6 +52,23 @@ def test_classify_parse_error_exits_2(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_classify_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"hypertable v1\norder: 1\n0 0: 0 \xe9\n")
+    for command in ("classify", "verify"):
+        assert main([command, str(bad)]) == 2
+        assert "line 3: not UTF-8 text" in capsys.readouterr().err
+    assert main(["compose", str(bad), "--f", "1", "--g", "1"]) == 2
+    assert main(["ideals", str(bad), "--f", "1"]) == 2
+
+
+def test_classify_order_above_cap_exits_2(tmp_path, capsys):
+    bad = tmp_path / "big.txt"
+    bad.write_text("hypertable v1\norder: 17\n0 0: 0\n", encoding="utf-8")
+    assert main(["classify", str(bad)]) == 2
+    assert "line 2: order must be positive and at most 16" in capsys.readouterr().err
+
+
 def test_classify_non_associative_exits_3(table_file, capsys):
     assert main(["classify", table_file(NON_ASSOCIATIVE_2)]) == 3
     assert "not a hypersemigroup" in capsys.readouterr().err
@@ -60,6 +77,13 @@ def test_classify_non_associative_exits_3(table_file, capsys):
 def test_verify_passes_on_left_zero(table_file, capsys):
     assert main(["verify", table_file(HyperOp.left_zero(2)), "--trials", "50"]) == 0
     assert "result: pass" in capsys.readouterr().out
+
+
+def test_verify_rejects_negative_trials(table_file, capsys):
+    assert main(["verify", table_file(HyperOp.left_zero(2)), "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "trials must be nonnegative" in captured.err
+    assert "result:" not in captured.out
 
 
 def test_verify_non_associative_exits_3(table_file):
@@ -153,11 +177,6 @@ def test_ideals_output(table_file, capsys):
     assert "fuzzy right ideal: yes" in out
     assert "fuzzy left ideal: no" in out
     assert "right ideal closure: 1/2, 1" in out
-
-
-def test_search_nonassoc_budget_zero(capsys):
-    assert main(["search-nonassoc", "--order", "2", "--budget", "0"]) == 0
-    assert "budget exhausted, none found" in capsys.readouterr().out
 
 
 def test_module_entry_point_runs():

@@ -7,14 +7,9 @@ from hypersemigroups import (
     HyperOp,
     RegularityClass,
     census,
-    classify,
     enumerate_hypergroupoids,
-    fuzzy_inequality_holds,
     hypergroupoid_count,
-    parse_table,
-    point,
     random_hypergroupoid,
-    search_nonassociative_divergence,
 )
 
 from .oracles import assoc_oracle, table_view
@@ -119,54 +114,3 @@ def test_census_progress_callback():
     census(2, exhaustive=True, progress=lambda done, total: ticks.append((done, total)))
     assert ticks[-1] == (81, 81)
     assert [t[0] for t in ticks] == sorted(t[0] for t in ticks)
-
-
-def test_search_budget_zero_finds_nothing():
-    result = search_nonassociative_divergence(2, 0, seed=0)
-    assert result.finding is None
-    assert result.examined == 0
-
-
-def test_search_is_deterministic():
-    a = search_nonassociative_divergence(2, 40, seed="det")
-    b = search_nonassociative_divergence(2, 40, seed="det")
-    assert a.examined == b.examined and a.draws == b.draws
-    assert (a.finding is None) == (b.finding is None)
-    if a.finding is not None:
-        assert a.finding.to_dict() == b.finding.to_dict()
-
-
-def test_search_exhaustive_order2_covers_all_non_associative(order2_tables):
-    non_assoc = sum(1 for h in order2_tables if not h.is_hypersemigroup())
-    assert non_assoc == 51
-    result = search_nonassociative_divergence(2, non_assoc, exhaustive=True)
-    if result.finding is None:
-        assert result.examined == non_assoc
-    again = search_nonassociative_divergence(2, non_assoc, exhaustive=True)
-    assert (result.finding is None) == (again.finding is None)
-    assert result.examined == again.examined
-
-
-def test_search_findings_reverify_from_serialized_table():
-    # scan enough random tables that a finding, if one exists at this order,
-    # has a chance to appear; the contract under test is re-verification
-    result = search_nonassociative_divergence(2, 60, seed="reverify")
-    if result.finding is None:
-        return
-    finding = result.finding
-    h = parse_table(finding.table_text)
-    assert not h.is_hypersemigroup()
-    cls = finding.cls
-    from hypersemigroups.classify import _elementwise_holds, _fuzzy_pointset_holds
-
-    assert _elementwise_holds(h, cls)[0] == finding.elementwise
-    assert _fuzzy_pointset_holds(h, cls)[0] == finding.fuzzy_pointset
-    assert finding.elementwise != finding.fuzzy_pointset
-
-
-def test_terminates_when_non_associative_tables_are_absent():
-    # order 1 has only the associative table; the draw cap must kick in
-    result = search_nonassociative_divergence(1, 5, seed=0)
-    assert result.finding is None
-    assert result.examined == 0
-    assert result.draws > 0
