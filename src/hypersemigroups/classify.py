@@ -82,8 +82,8 @@ def _fuzzy_chain(
     h: HyperOp, cls: RegularityClass, f: FuzzySubset, top: FuzzySubset
 ) -> FuzzySubset:
     # the class template in the fuzzy algebra: f in S, top = one(n) in H
-    return TEMPLATES[cls](
-        lambda u, v: compose_chain(h, (u, v)), f, *(top,) * _WITNESS_ARITY[cls]
+    return compose_chain(
+        h, (f, *(top,) * _WITNESS_ARITY[cls]), brackets=TEMPLATES[cls]
     )
 
 

@@ -3,7 +3,7 @@
 Exit codes: 0 clean run, 1 a verification found a counterexample or a
 census recorded route disagreements, 2 input/usage error (parse failures
 included), 3 the input table is not a hypersemigroup where one is
-required.  All diagnostics go to stderr.
+required, 4 an unexpected internal error.  All diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .classify import CLASS_ORDER, ClassificationReport, classify, verify_theorems
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_FOUND = 1
 EXIT_INPUT = 2
 EXIT_NOT_ASSOCIATIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _fail(message: str, code: int) -> int:
@@ -230,7 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # a bug, not a finding: one line naming where it was raised, and a
+        # code that cannot be mistaken for EXIT_FOUND
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{Path(frame.filename).name}:{frame.lineno}"
+        return _fail(
+            f"internal error: {type(exc).__name__}: {exc} (at {where})",
+            EXIT_INTERNAL,
+        )
 
 
 if __name__ == "__main__":

@@ -98,6 +98,11 @@ class HyperOp:
             )
         full = full_mask(order)
         for i, cell in enumerate(cells):
+            if type(cell) is not int:  # rejects bool and float cells too
+                raise TypeError(
+                    f"cell ({i // order}, {i % order}) must be an int bitmask, "
+                    f"got {type(cell).__name__}"
+                )
             if cell == 0:
                 raise ValueError(
                     f"empty hyperproduct at ({i // order}, {i % order})"
@@ -175,22 +180,6 @@ class HyperOp:
             if out == full:
                 return full
         return out
-
-    def n_fold_product(self, factors: Sequence[int]) -> int:
-        """Left-associated fold of set_product over a nonempty factor list.
-
-        On hypersemigroups the result is independent of parenthesization;
-        on arbitrary tables the left fold is the documented convention.
-        """
-        if not factors:
-            raise ValueError("n_fold_product needs at least one factor")
-        full = full_mask(self.order)
-        acc = factors[0]
-        if not 0 <= acc <= full:
-            raise ValueError("operand is not a subset of the carrier")
-        for mask in factors[1:]:
-            acc = self.set_product(acc, mask)
-        return acc
 
     def is_hypersemigroup(self) -> bool:
         """True iff (x o y) * {z} = {x} * (y o z) for all n^3 triples."""

@@ -9,6 +9,7 @@ reports are byte-identical for any worker count.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -227,9 +228,11 @@ def census(
         ]
         worker = _census_sampled_part
 
+    # more workers than partitions or cores would only sit idle
+    workers = min(jobs, len(parts), os.cpu_count() or 1)
     tallies = []
     done = 0
-    if jobs == 1:
+    if workers <= 1:
         for part in parts:
             tally = worker(part)
             tallies.append(tally)
@@ -237,7 +240,7 @@ def census(
             if progress is not None:
                 progress(done, total)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # map preserves partition order, keeping the merge deterministic
             for tally in pool.map(worker, parts):
                 tallies.append(tally)

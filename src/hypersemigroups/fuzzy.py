@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Any, Callable, Iterable, Sequence
 
 from .core import CarrierMismatchError, HyperOp
 
@@ -27,11 +28,27 @@ class FuzzySubset:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[Fraction | int | str]):
-        vals = tuple(Fraction(v) for v in values)
-        for v in vals:
+        vals = []
+        for v in values:
+            # a float already carries a binary rounding, and a bool is a
+            # flag, not a degree; exact decimal strings such as "0.5" pass
+            if isinstance(v, (float, bool)):
+                raise TypeError(
+                    f"membership degree {v!r} is a {type(v).__name__}; "
+                    "use an int, a Fraction or a string such as '1/2'"
+                )
+            v = Fraction(v)
             if v < ZERO or v > ONE:
                 raise ValueError(f"membership degree {v} outside [0, 1]")
-        self.values = vals
+            vals.append(v)
+        self.values = tuple(vals)
+
+    @classmethod
+    def _trusted(cls, values: tuple[Fraction, ...]) -> FuzzySubset:
+        # values already validated as Fractions in [0, 1]
+        self = cls.__new__(cls)
+        self.values = values
+        return self
 
     @property
     def order(self) -> int:
@@ -77,19 +94,50 @@ class FuzzySubset:
 
 def one(order: int) -> FuzzySubset:
     """The constant-1 fuzzy subset, the greatest element of the order."""
-    return FuzzySubset((ONE,) * order)
+    return FuzzySubset._trusted((ONE,) * order)
 
 
 def point(order: int, a: int) -> FuzzySubset:
     """The indicator of {a}: degree 1 at a, 0 elsewhere."""
     if not 0 <= a < order:
         raise ValueError(f"element {a} out of range for order {order}")
-    return FuzzySubset(ONE if x == a else ZERO for x in range(order))
+    return FuzzySubset._trusted(tuple(ONE if x == a else ZERO for x in range(order)))
 
 
 def a_set(h: HyperOp, a: int) -> frozenset[tuple[int, int]]:
     """The pairs (y, z) whose hyperproduct contains a; may be empty."""
     return frozenset(h.pairs_containing(a))
+
+
+def _left_fold(product, *factors):
+    return reduce(product, factors)
+
+
+def _evaluate(
+    h: HyperOp, factors: Sequence[FuzzySubset], brackets: Callable[..., Any]
+) -> FuzzySubset:
+    # composition only takes minima and maxima, so it commutes with any
+    # order-preserving relabelling: run it on the ranks of the input values
+    # (and 0) and map the ranked result back to those values once
+    if any(f.order != h.order for f in factors):
+        raise CarrierMismatchError("fuzzy subset carrier does not match the table")
+    levels = sorted({ZERO}.union(*(f.values for f in factors)))
+    rank = {v: i for i, v in enumerate(levels)}
+    cells = [h.pairs_containing(a) for a in range(h.order)]
+
+    def product(fr: list[int], gr: list[int]) -> list[int]:
+        out = []
+        for pairs in cells:
+            best = 0
+            for y, z in pairs:
+                v = fr[y] if fr[y] <= gr[z] else gr[z]
+                if v > best:
+                    best = v
+            out.append(best)
+        return out
+
+    ranked = brackets(product, *([rank[v] for v in f.values] for f in factors))
+    return FuzzySubset._trusted(tuple(levels[r] for r in ranked))
 
 
 def compose(h: HyperOp, f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
@@ -98,33 +146,24 @@ def compose(h: HyperOp, f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
     The value at a is the maximum of min(f(y), g(z)) over all pairs (y, z)
     whose hyperproduct contains a, and 0 when no such pair exists.
     """
-    if f.order != h.order or g.order != h.order:
-        raise CarrierMismatchError("fuzzy subset carrier does not match the table")
-    fv = f.values
-    gv = g.values
-    out = []
-    for a in range(h.order):
-        best = ZERO
-        for y, z in h.pairs_containing(a):
-            v = fv[y] if fv[y] <= gv[z] else gv[z]
-            if v > best:
-                best = v
-        out.append(best)
-    return FuzzySubset(out)
+    return _evaluate(h, (f, g), _left_fold)
 
 
-def compose_chain(h: HyperOp, factors: Sequence[FuzzySubset]) -> FuzzySubset:
-    """Left-associated fold of compose over a nonempty factor list.
+def compose_chain(
+    h: HyperOp,
+    factors: Sequence[FuzzySubset],
+    brackets: Callable[..., Any] = _left_fold,
+) -> FuzzySubset:
+    """Composition of a nonempty factor list, bracketed by ``brackets``.
 
-    On hypersemigroups composition is associative, so the fold order is
-    irrelevant.
+    ``brackets(p, *factors)`` builds the product from a binary ``p``, for
+    example ``lambda p, s, x: p(p(s, x), s)``; the default is the left fold.
+    On hypersemigroups composition is associative, so the brackets are
+    irrelevant there.
     """
     if not factors:
         raise ValueError("compose_chain needs at least one factor")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = compose(h, acc, f)
-    return acc
+    return _evaluate(h, factors, brackets)
 
 
 def random_fuzzy_subset(

@@ -40,13 +40,6 @@ def set_product_oracle(cells, A, B) -> frozenset:
     return frozenset(out)
 
 
-def fold_oracle(cells, factors) -> frozenset:
-    acc = frozenset(factors[0])
-    for nxt in factors[1:]:
-        acc = set_product_oracle(cells, acc, nxt)
-    return acc
-
-
 def assoc_oracle(cells, n) -> bool:
     for x in range(n):
         for y in range(n):

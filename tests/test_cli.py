@@ -135,6 +135,24 @@ def test_census_exit_1_when_routes_disagree(monkeypatch, capsys):
     assert "route disagreements: 1" in capsys.readouterr().out
 
 
+def test_unexpected_error_exits_4_with_one_error_line(
+    table_file, monkeypatch, capsys
+):
+    import hypersemigroups.cli as cli_mod
+
+    def broken(h):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli_mod, "classify", broken)
+    code = main(["classify", table_file(HyperOp.left_zero(2))])
+    assert code == cli_mod.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: internal error: ZeroDivisionError: boom")
+
+
 def test_census_order2_exhaustive(capsys):
     assert main(["census", "--order", "2", "--exhaustive"]) == 0
     out = capsys.readouterr().out

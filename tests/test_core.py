@@ -13,7 +13,7 @@ from hypersemigroups import (
     subset_mask,
 )
 
-from .oracles import assoc_oracle, fold_oracle, set_product_oracle, table_view
+from .oracles import assoc_oracle, set_product_oracle, table_view
 from .util import NON_ASSOCIATIVE_2, random_hypersemigroup
 
 random_tables_3 = st.integers(min_value=0, max_value=10**9).map(
@@ -42,6 +42,9 @@ def test_constructor_rejects_bad_tables():
         HyperOp(0, ())
     with pytest.raises(ValueError):
         HyperOp(17, (1,) * 17 * 17)
+    for bad in (1.0, True):
+        with pytest.raises(TypeError, match="must be an int bitmask"):
+            HyperOp(1, [bad])
 
 
 def test_equality_and_hash():
@@ -90,17 +93,6 @@ def test_set_product_rejects_foreign_masks():
     h = HyperOp.full(2)
     with pytest.raises(ValueError):
         h.set_product(0b100, 0b01)
-
-
-def test_n_fold_product_examples():
-    lz = HyperOp.left_zero(2)
-    assert lz.n_fold_product([0b10]) == 0b10
-    expected = fold_oracle(table_view(lz), [{0}, {0, 1}, {0}])
-    assert expected == frozenset({0})
-    assert lz.n_fold_product([0b01, 0b11, 0b01]) == subset_mask(expected, 2)
-    assert HyperOp.full(2).n_fold_product([0b10, 0b10, 0b10]) == 0b11
-    with pytest.raises(ValueError):
-        lz.n_fold_product([])
 
 
 def test_is_hypersemigroup_known_tables():

@@ -8,6 +8,7 @@ from hypersemigroups import (
     RegularityClass,
     census,
     enumerate_hypergroupoids,
+    enumeration,
     hypergroupoid_count,
     random_hypergroupoid,
 )
@@ -114,3 +115,37 @@ def test_census_progress_callback():
     census(2, exhaustive=True, progress=lambda done, total: ticks.append((done, total)))
     assert ticks[-1] == (81, 81)
     assert [t[0] for t in ticks] == sorted(t[0] for t in ticks)
+
+
+def test_census_pool_capped_by_partitions_and_cores(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor: records the pool size and maps
+        # in process, so no worker is ever started
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            return map(fn, parts)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    exhaustive = census(2, exhaustive=True).render()
+    sampled = census(3, sample=40, seed="cap").render()
+    assert sizes == []
+    # order 2 has 3 partitions; a 40-table sample at this jobs value has 40
+    assert census(2, exhaustive=True, jobs=10**6).render() == exhaustive
+    assert census(3, sample=40, seed="cap", jobs=10**6).render() == sampled
+    assert census(2, exhaustive=True, jobs=2).render() == exhaustive
+    assert sizes == [3, 4, 2]
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    assert census(2, exhaustive=True, jobs=8).render() == exhaustive
+    assert census(2, sample=0, jobs=8).tables_seen == 0
+    assert sizes == [3, 4, 2]

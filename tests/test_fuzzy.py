@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersemigroups import (
+    TEMPLATES,
     CarrierMismatchError,
     FuzzySubset,
     HyperOp,
+    RegularityClass,
     a_set,
     compose,
     compose_chain,
@@ -29,6 +32,8 @@ random_tables_3 = st.integers(min_value=0, max_value=10**9).map(
 )
 degrees = st.integers(min_value=0, max_value=16).map(lambda p: Fraction(p, 16))
 fuzzy_3 = st.tuples(degrees, degrees, degrees).map(FuzzySubset)
+rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
+rational_3 = st.tuples(rationals, rationals, rationals).map(FuzzySubset)
 
 
 def test_fuzzy_subset_is_exact_value_object():
@@ -44,6 +49,14 @@ def test_fuzzy_subset_rejects_out_of_range():
         FuzzySubset([Fraction(3, 2)])
     with pytest.raises(ValueError):
         FuzzySubset([Fraction(-1, 2)])
+
+
+def test_fuzzy_subset_rejects_float_and_bool():
+    for bad in ([0.1, True], [0.5], [True], [1, False]):
+        with pytest.raises(TypeError, match="use an int, a Fraction or a string"):
+            FuzzySubset(bad)
+    # decimal strings are exact and stay accepted
+    assert FuzzySubset(["0.5", "1"]) == FuzzySubset([HALF, 1])
 
 
 def test_a_set_examples():
@@ -108,6 +121,47 @@ def test_compose_chain_association_irrelevant_on_hypersemigroups():
         assert compose_chain(h, [f, g, k]) == compose(h, f, compose(h, g, k))
 
 
+def test_compose_maps_equal_degrees_held_as_distinct_objects():
+    # equal degrees from separate Fraction objects share one rank
+    f = FuzzySubset([Fraction(1, 2), Fraction(2, 4), Fraction(1, 3)])
+    g = FuzzySubset([Fraction(3, 6), Fraction(1, 3), Fraction(2, 6)])
+    assert f[0] is not f[1] and f[0] is not g[0] and f[2] is not g[1]
+    for seed in range(20):
+        h = random_hypergroupoid(3, f"ties:{seed}")
+        expected = compose_oracle(table_view(h), 3, f.values, g.values)
+        result = compose(h, f, g)
+        assert result.values == expected
+        assert all(type(v) is Fraction for v in result.values)
+
+
+def test_element_in_no_cell_maps_to_exact_zero():
+    h = HyperOp.constant(2)  # no cell contains 1
+    f = FuzzySubset([HALF, Fraction(1, 3)])  # 0 is not among the inputs
+    for result in (
+        compose(h, f, f),
+        compose_chain(h, (f, f, f)),
+        compose_chain(
+            h, (f, one(2), one(2)),
+            brackets=TEMPLATES[RegularityClass.LEFT_QUASI_REGULAR],
+        ),
+    ):
+        assert result.values[1] == Fraction(0)
+        assert type(result.values[1]) is Fraction
+
+
+def test_composed_value_equals_validated_value():
+    rng = random.Random("validated")
+    for seed in range(10):
+        h = random_hypergroupoid(3, f"validated:{seed}")
+        f, g = random_fuzzy_subset(3, rng), random_fuzzy_subset(3, rng)
+        result = compose(h, f, g)
+        for same in (FuzzySubset(result.values),
+                     FuzzySubset([str(v) for v in result.values])):
+            assert result == same and same == result
+            assert hash(result) == hash(same)
+            assert {result: 1}[same] == 1
+
+
 def test_leq_examples():
     f = FuzzySubset([HALF, 1])
     g = FuzzySubset([1, HALF])
@@ -168,6 +222,23 @@ def test_compose_monotone_in_each_argument(h, f, g, k):
     f_lo = f.meet(g)  # f_lo <= f pointwise
     assert compose(h, f_lo, k).leq(compose(h, f, k))
     assert compose(h, k, f_lo).leq(compose(h, k, f))
+
+
+@settings(deadline=None, max_examples=60)
+@given(random_tables_3, st.lists(rational_3, min_size=5, max_size=5))
+def test_compose_chain_brackets_match_oracle(h, fs):
+    # every class template, on arbitrary tables where brackets matter
+    cells = table_view(h)
+
+    def oracle(u, v):
+        return compose_oracle(cells, 3, u, v)
+
+    values = [f.values for f in fs]
+    assert compose_chain(h, fs) == FuzzySubset(reduce(oracle, values))
+    for template in TEMPLATES.values():
+        k = template.__code__.co_argcount - 1
+        expected = template(oracle, *values[:k])
+        assert compose_chain(h, fs[:k], brackets=template) == FuzzySubset(expected)
 
 
 @settings(deadline=None, max_examples=60)
