@@ -116,21 +116,32 @@ class Witness:
         return d
 
 
+def _first_witness(
+    h: HyperOp, cls: RegularityClass, a: int
+) -> Optional[tuple[int, ...]]:
+    # the lexicographically first witness tuple for element a, or None
+    for ws in itertools.product(range(h.order), repeat=_WITNESS_ARITY[cls]):
+        if element_membership(h, cls, a, ws):
+            return ws
+    return None
+
+
 def verify_witness(h: HyperOp, w: Witness) -> bool:
-    """Re-check a stored witness against the table it came from."""
+    """Re-check a stored witness against the table it came from.
+
+    A fuzzy witness reverifies only if the subset it records, if any, is
+    the indicator of its element.
+    """
     if w.route == "elementwise":
         if w.holds:
             return element_membership(h, w.cls, w.element, w.elements)
         # a recorded failure means no witness tuple exists for that element
-        arity = _WITNESS_ARITY[w.cls]
-        return not any(
-            element_membership(h, w.cls, w.element, ws)
-            for ws in itertools.product(range(h.order), repeat=arity)
-        )
+        return _first_witness(h, w.cls, w.element) is None
     if w.route == "fuzzy":
         f = point(h.order, w.element)
-        ok = f.leq(_fuzzy_chain(h, w.cls, f, one(h.order)))
-        return ok if w.holds else not ok
+        if w.fuzzy_subset is not None and w.fuzzy_subset != f:
+            return False
+        return fuzzy_inequality_holds(h, w.cls, f) == w.holds
     raise ValueError(f"unknown witness route {w.route!r}")
 
 
@@ -143,14 +154,9 @@ def _require_hypersemigroup(h: HyperOp) -> None:
 
 def _elementwise_holds(h: HyperOp, cls: RegularityClass) -> tuple[bool, list[Witness]]:
     # no associativity precondition here; the public wrapper adds it
-    arity = _WITNESS_ARITY[cls]
     witnesses = []
     for a in range(h.order):
-        found = None
-        for ws in itertools.product(range(h.order), repeat=arity):
-            if element_membership(h, cls, a, ws):
-                found = ws
-                break
+        found = _first_witness(h, cls, a)
         if found is None:
             return False, [Witness(cls, a, "elementwise", False)]
         witnesses.append(Witness(cls, a, "elementwise", True, found))
@@ -170,18 +176,13 @@ def is_class_elementwise(
     return _elementwise_holds(h, cls)
 
 
-def _subset_holds(
-    h: HyperOp,
-    cls: RegularityClass,
-    variant: int,
-    max_order: int = SUBSET_ALL_ORDER_CAP,
-) -> bool:
+def _subset_holds(h: HyperOp, cls: RegularityClass, variant: int) -> bool:
     # no associativity precondition here; the public wrapper adds it
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
-    if variant == 2 and h.order > max_order:
+    if variant == 2 and h.order > SUBSET_ALL_ORDER_CAP:
         raise ValueError(
-            f"variant 2 walks 2^{h.order} subsets; cap is order {max_order}"
+            f"variant 2 walks 2^{h.order} subsets; cap is order {SUBSET_ALL_ORDER_CAP}"
         )
     singletons = [1 << a for a in range(h.order)]
     s_masks = range(1, 1 << h.order) if variant == 2 else singletons
@@ -191,20 +192,15 @@ def _subset_holds(
     )
 
 
-def is_class_subsetdef(
-    h: HyperOp,
-    cls: RegularityClass,
-    variant: int,
-    max_order: int = SUBSET_ALL_ORDER_CAP,
-) -> bool:
+def is_class_subsetdef(h: HyperOp, cls: RegularityClass, variant: int) -> bool:
     """Decide ``cls`` from the equivalent subset-product definition.
 
     Variant 1 checks a in the product built from {a} for every element a;
     variant 2 checks A subset-of the product built from A for every
-    nonempty A (refused above ``max_order`` to bound the 2^n walk).
+    nonempty A (refused above ``SUBSET_ALL_ORDER_CAP`` to bound the 2^n walk).
     """
     _require_hypersemigroup(h)
-    return _subset_holds(h, cls, variant, max_order)
+    return _subset_holds(h, cls, variant)
 
 
 def _fuzzy_pointset_holds(h: HyperOp, cls: RegularityClass) -> tuple[bool, list[Witness]]:
@@ -367,9 +363,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def counterexamples(self) -> list[TheoremCheck]:
-        return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
         return {

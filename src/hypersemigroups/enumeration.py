@@ -2,8 +2,9 @@
 hyperoperation tables, associativity filtering and classification censuses.
 
 Census runs partition the table space deterministically (exhaustive mode
-splits on the first cell's subset value, sampled mode on index ranges), so
-reports are byte-identical for any worker count.
+splits on the first cell's subset value, sampled mode into one index range
+per worker) and sum the partitions' outcome counts, so reports are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -131,63 +134,31 @@ class CensusReport:
         }
 
 
-def _new_tally() -> dict:
-    return {
-        "seen": 0,
-        "hyper": 0,
-        "class_counts": {cls.value: 0 for cls in CLASS_ORDER},
-        "combos": {},
-        "disagreements": 0,
-    }
-
-
-def _tally_table(tally: dict, h: HyperOp) -> None:
-    tally["hyper"] += 1
+def _record(outcomes: Counter, h: HyperOp) -> None:
     report = classify(h)
-    for cls in CLASS_ORDER:
-        cr = report.classes[cls]
-        if cr.verdict:
-            tally["class_counts"][cls.value] += 1
-        if not cr.routes_agree:
-            tally["disagreements"] += 1
-    key = report.combination_key()
-    tally["combos"][key] = tally["combos"].get(key, 0) + 1
+    bad = sum(not cr.routes_agree for cr in report.classes.values())
+    outcomes[report.combination_key(), bad] += 1
 
 
-def _merge(tallies) -> dict:
-    out = _new_tally()
-    for t in tallies:
-        out["seen"] += t["seen"]
-        out["hyper"] += t["hyper"]
-        for k, v in t["class_counts"].items():
-            out["class_counts"][k] += v
-        for k, v in t["combos"].items():
-            out["combos"][k] = out["combos"].get(k, 0) + v
-        out["disagreements"] += t["disagreements"]
-    return out
-
-
-def _census_exhaustive_part(args) -> dict:
+def _census_exhaustive_part(args) -> tuple[int, Counter]:
     order, first_cell = args
-    tally = _new_tally()
+    outcomes = Counter()
     rest = order * order - 1
     for tail in itertools.product(range(1, 2**order), repeat=rest):
         cells = (first_cell,) + tail
-        tally["seen"] += 1
         if _associative(cells, order):
-            _tally_table(tally, HyperOp(order, cells))
-    return tally
+            _record(outcomes, HyperOp(order, cells))
+    return (2**order - 1) ** rest, outcomes
 
 
-def _census_sampled_part(args) -> dict:
+def _census_sampled_part(args) -> tuple[int, Counter]:
     order, seed, lo, hi = args
-    tally = _new_tally()
+    outcomes = Counter()
     for i in range(lo, hi):
         h = random_hypergroupoid(order, _sample_seed(seed, i))
-        tally["seen"] += 1
         if h.is_hypersemigroup():
-            _tally_table(tally, h)
-    return tally
+            _record(outcomes, h)
+    return hi - lo, outcomes
 
 
 def census(
@@ -212,6 +183,8 @@ def census(
     if jobs < 1:
         raise ValueError("jobs must be positive")
 
+    # more workers than cores would only sit idle
+    workers = min(jobs, os.cpu_count() or 1)
     if exhaustive:
         _check_budget(order, allow_large)
         total = hypergroupoid_count(order)
@@ -221,45 +194,41 @@ def census(
         if sample < 0:
             raise ValueError("sample count must be nonnegative")
         total = sample
-        chunk = max(1, -(-sample // jobs)) if sample else 1
+        chunk = -(-sample // workers) or 1
         parts = [
             (order, str(seed), lo, min(lo + chunk, sample))
             for lo in range(0, sample, chunk)
         ]
         worker = _census_sampled_part
+    workers = min(workers, len(parts))
 
-    # more workers than partitions or cores would only sit idle
-    workers = min(jobs, len(parts), os.cpu_count() or 1)
-    tallies = []
-    done = 0
-    if workers <= 1:
-        for part in parts:
-            tally = worker(part)
-            tallies.append(tally)
-            done += tally["seen"]
+    # each partition's outcomes: (combination key, disagreeing classes) -> tables
+    seen = 0
+    outcomes = Counter()
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        # map preserves partition order, keeping the merge deterministic
+        for part_seen, part in (pool.map if pool else map)(worker, parts):
+            seen += part_seen
+            outcomes += part
             if progress is not None:
-                progress(done, total)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map preserves partition order, keeping the merge deterministic
-            for tally in pool.map(worker, parts):
-                tallies.append(tally)
-                done += tally["seen"]
-                if progress is not None:
-                    progress(done, total)
+                progress(seen, total)
 
-    merged = _merge(tallies)
+    combos = Counter()
+    for (key, _), n in outcomes.items():
+        combos[key] += n
     report = CensusReport(
         order=order,
         mode="exhaustive" if exhaustive else "sampled",
-        tables_seen=merged["seen"],
-        hypersemigroups=merged["hyper"],
-        class_counts=merged["class_counts"],
-        combination_counts=dict(sorted(merged["combos"].items())),
-        route_disagreements=merged["disagreements"],
+        tables_seen=seen,
+        hypersemigroups=sum(combos.values()),
+        class_counts={
+            cls.value: sum(n for key, n in combos.items() if key[i] == "1")
+            for i, cls in enumerate(CLASS_ORDER)
+        },
+        combination_counts=dict(sorted(combos.items())),
+        route_disagreements=sum(bad * n for (_, bad), n in outcomes.items()),
         sample_count=None if exhaustive else sample,
         seed=None if exhaustive else str(seed),
     )
     report.validate()
     return report
-

@@ -11,6 +11,7 @@ from hypersemigroups import (
     HyperOp,
     NotAssociativeError,
     RegularityClass,
+    Witness,
     classify,
     element_membership,
     fuzzy_inequality_holds,
@@ -200,6 +201,20 @@ def test_stored_witnesses_reverify():
         for cr in report.classes.values():
             for w in cr.witnesses:
                 assert verify_witness(h, w)
+
+
+def test_fuzzy_witness_reverifies_only_at_its_own_indicator():
+    h = HyperOp.constant(2)
+    cls = RegularityClass.REGULAR
+    failing = Witness(cls, 1, "fuzzy", False, fuzzy_subset=point(2, 1))
+    assert verify_witness(h, failing)
+    # the inequality holds at the zero subset and at the other point, so a
+    # failure recorded there is forged
+    for forged in (FuzzySubset([0, 0]), point(2, 0)):
+        assert not verify_witness(
+            h, Witness(cls, 1, "fuzzy", False, fuzzy_subset=forged)
+        )
+    assert not verify_witness(h, Witness(cls, 1, "fuzzy", True))
 
 
 def test_elementwise_matches_oracle_on_random_tables():

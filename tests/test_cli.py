@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hypersemigroups
 from hypersemigroups import HyperOp, serialize_table
 from hypersemigroups.cli import main
 
@@ -198,10 +201,14 @@ def test_ideals_output(table_file, capsys):
 
 
 def test_module_entry_point_runs():
+    # the child runs the package this test imported, installed or not
+    src = str(Path(hypersemigroups.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hypersemigroups", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "classify" in proc.stdout

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from hypersemigroups import (
@@ -117,9 +119,7 @@ def test_census_progress_callback():
     assert [t[0] for t in ticks] == sorted(t[0] for t in ticks)
 
 
-def test_census_pool_capped_by_partitions_and_cores(monkeypatch):
-    sizes = []
-
+def _recording_pool(sizes):
     class RecordingPool:
         # stands in for ProcessPoolExecutor: records the pool size and maps
         # in process, so no worker is ever started
@@ -135,12 +135,17 @@ def test_census_pool_capped_by_partitions_and_cores(monkeypatch):
         def map(self, fn, parts):
             return map(fn, parts)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_census_pool_capped_by_partitions_and_cores(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", _recording_pool(sizes))
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
     exhaustive = census(2, exhaustive=True).render()
     sampled = census(3, sample=40, seed="cap").render()
     assert sizes == []
-    # order 2 has 3 partitions; a 40-table sample at this jobs value has 40
+    # order 2 has 3 partitions; a sample is split into one range per core
     assert census(2, exhaustive=True, jobs=10**6).render() == exhaustive
     assert census(3, sample=40, seed="cap", jobs=10**6).render() == sampled
     assert census(2, exhaustive=True, jobs=2).render() == exhaustive
@@ -149,3 +154,22 @@ def test_census_pool_capped_by_partitions_and_cores(monkeypatch):
     assert census(2, exhaustive=True, jobs=8).render() == exhaustive
     assert census(2, sample=0, jobs=8).tables_seen == 0
     assert sizes == [3, 4, 2]
+
+
+def test_sampled_partitions_bounded_by_workers_not_jobs(monkeypatch):
+    sizes, ranges = [], []
+
+    def stub_worker(args):
+        # records the partition instead of drawing its tables
+        _, _, lo, hi = args
+        ranges.append((lo, hi))
+        return hi - lo, Counter()
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", _recording_pool(sizes))
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(enumeration, "_census_sampled_part", stub_worker)
+    report = census(3, sample=10**5, jobs=10**5)
+    assert sizes == [2]
+    assert ranges == [(0, 50_000), (50_000, 100_000)]
+    assert report.tables_seen == 100_000
+    assert report.hypersemigroups == 0
