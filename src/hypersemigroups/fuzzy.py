@@ -8,6 +8,7 @@ and every comparison in the library is exact; no tolerances exist anywhere.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from typing import Any, Callable, Iterable, Sequence
@@ -16,6 +17,10 @@ from .core import CarrierMismatchError, HyperOp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# p/q with a nonzero q, an integer or a plain decimal such as "0.5"; no
+# exponent, because Fraction("1e-99999999") computes 10**99999999
+_DEGREE_TEXT = re.compile(r"\s*[+-]?(\d+(/0*[1-9]\d*)?|\d*\.\d+|\d+\.)\s*")
 
 
 class FuzzySubset:
@@ -30,9 +35,14 @@ class FuzzySubset:
     def __init__(self, values: Iterable[Fraction | int | str]):
         vals = []
         for v in values:
+            if isinstance(v, str) and not _DEGREE_TEXT.fullmatch(v):
+                raise ValueError(
+                    f"membership degree {v!r} is not p/q with q > 0, "
+                    "an integer or a plain decimal"
+                )
             # a float already carries a binary rounding, and a bool is a
-            # flag, not a degree; exact decimal strings such as "0.5" pass
-            if isinstance(v, (float, bool)):
+            # flag, not a degree
+            elif isinstance(v, (float, bool)):
                 raise TypeError(
                     f"membership degree {v!r} is a {type(v).__name__}; "
                     "use an int, a Fraction or a string such as '1/2'"

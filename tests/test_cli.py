@@ -65,11 +65,18 @@ def test_classify_non_utf8_file_exits_2(tmp_path, capsys):
     assert main(["ideals", str(bad), "--f", "1"]) == 2
 
 
-def test_classify_order_above_cap_exits_2(tmp_path, capsys):
+def test_classify_order_above_cap_exits_2(tmp_path, table_file, capsys):
     bad = tmp_path / "big.txt"
     bad.write_text("hypertable v1\norder: 17\n0 0: 0\n", encoding="utf-8")
     assert main(["classify", str(bad)]) == 2
     assert "line 2: order must be positive and at most 16" in capsys.readouterr().err
+    # a valid table file, but subset-2 stops at order 12
+    path = table_file(HyperOp.constant(13))
+    for command in ("classify", "verify"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: variant 2 walks 2^13 subsets; cap is order 12\n"
 
 
 def test_classify_non_associative_exits_3(table_file, capsys):
@@ -189,6 +196,12 @@ def test_compose_rejects_wrong_arity_and_bad_values(table_file, capsys):
     assert main(["compose", path, "--f", "1", "--g", "0,1"]) == 2
     assert main(["compose", path, "--f", "1,nope", "--g", "0,1"]) == 2
     assert main(["compose", path, "--f", "3/2,0", "--g", "0,1"]) == 2
+    assert main(["compose", path, "--f", "1e-5000,0", "--g", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(
+        "error: membership degree '1e-5000' is not p/q"
+    )
 
 
 def test_ideals_output(table_file, capsys):

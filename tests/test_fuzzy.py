@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -49,6 +50,16 @@ def test_fuzzy_subset_rejects_out_of_range():
         FuzzySubset([Fraction(3, 2)])
     with pytest.raises(ValueError):
         FuzzySubset([Fraction(-1, 2)])
+
+
+def test_fuzzy_subset_degree_strings():
+    # exponent notation would let a short string build a huge integer
+    for bad in ("1e-5", "1/0", "0/00", "1E0", "nope", "", "1/ 2", "1_0/20"):
+        with pytest.raises(ValueError, match=re.escape(f"degree {bad!r} is not p/q")):
+            FuzzySubset(["1/2", bad])
+    assert FuzzySubset(["1/2", " 2/4 ", "0.5", ".5", "1.", "1", "0", "3/07"]) == (
+        FuzzySubset([HALF] * 4 + [1, 1, 0, Fraction(3, 7)])
+    )
 
 
 def test_fuzzy_subset_rejects_float_and_bool():
