@@ -4,16 +4,19 @@ Exit codes, mapped from exceptions in ``main`` alone: 0 clean run, 1 a
 verification found a counterexample or a census recorded route
 disagreements, 2 input/usage error (any ``ValueError``: parse failures and
 every argument the library refuses), 3 the input table is not a
-hypersemigroup where one is required, 4 an unexpected internal error.
-All diagnostics go to stderr.  Table files allow order 16, but ``classify``
-and ``verify`` stop at 12: subset-2 walks all 2^n - 1 subsets.  ``--f`` and
-``--g`` take ``p/q``, integers or plain decimals, not exponent notation.
+hypersemigroup where one is required, 4 an unexpected internal error, 141
+(128 + SIGPIPE) stdout was closed early, e.g. by ``| head``, and nothing is
+printed.  All diagnostics go to stderr.  Table files allow order 16, but
+``classify`` and ``verify`` stop at 12: subset-2 walks all 2^n - 1 subsets.
+``--f`` and ``--g`` take ``p/q``, integers or plain decimals, not exponent
+notation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -36,6 +39,7 @@ EXIT_FOUND = 1
 EXIT_INPUT = 2
 EXIT_NOT_ASSOCIATIVE = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 
 def _fail(message: str, code: int) -> int:
@@ -213,7 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader left; the unflushed rest goes to devnull, not to stderr
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except NotAssociativeError:
         return _fail("input table is not a hypersemigroup", EXIT_NOT_ASSOCIATIVE)
     except ValueError as exc:

@@ -21,13 +21,8 @@ from typing import Callable, Iterator, Optional
 from .classify import CLASS_ORDER, classify
 from .core import HyperOp, _associative
 
-# exhaustive enumeration is refused above this many tables unless the
-# caller explicitly opts in (which still only unlocks order 3)
-DEFAULT_TABLE_BUDGET = 100
-
-
 class EnumerationBudgetError(ValueError):
-    """Exhaustive enumeration would exceed the table budget."""
+    """Exhaustive enumeration was asked for an order beyond its limit."""
 
 
 def hypergroupoid_count(order: int) -> int:
@@ -37,16 +32,15 @@ def hypergroupoid_count(order: int) -> int:
     return (2**order - 1) ** (order * order)
 
 
-def _check_budget(order: int, allow_large: bool) -> None:
-    count = hypergroupoid_count(order)
-    if count <= DEFAULT_TABLE_BUDGET:
-        return
-    if order == 3 and allow_large:
-        return
-    hint = "" if order > 3 else "; pass allow_large=True to run it"
-    raise EnumerationBudgetError(
-        f"exhaustive enumeration at order {order} is {count} tables{hint}"
-    )
+def _check_budget(order: int, allow_large: bool) -> int:
+    # by order alone: at large orders even the count below is unbounded work
+    limit = 3 if allow_large else 2
+    if order > limit:
+        hint = "; pass allow_large=True for order 3" if order == 3 else ""
+        raise EnumerationBudgetError(
+            f"exhaustive enumeration stops at order {limit}, got order {order}{hint}"
+        )
+    return hypergroupoid_count(order)
 
 
 def enumerate_hypergroupoids(order: int, allow_large: bool = False) -> Iterator[HyperOp]:
@@ -186,8 +180,7 @@ def census(
     # more workers than cores would only sit idle
     workers = min(jobs, os.cpu_count() or 1)
     if exhaustive:
-        _check_budget(order, allow_large)
-        total = hypergroupoid_count(order)
+        total = _check_budget(order, allow_large)
         parts = [(order, first) for first in range(1, 2**order)]
         worker = _census_exhaustive_part
     else:

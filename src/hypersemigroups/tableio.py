@@ -11,15 +11,13 @@ Canonical form::
 
 One line per cell in row-major order, element indices ascending, single
 spaces, newline-terminated.  An optional ``names:`` line after ``order:``
-carries display names; names never enter the core types.
+is accepted and checked (one name per element) but not kept: parsing
+yields a bare ``HyperOp`` and serialization never writes names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .core import MAX_ORDER, HyperOp, mask_elements, subset_mask
+from .core import MAX_ORDER, HyperOp, mask_elements
 
 FORMAT_HEADER = "hypertable v1"
 
@@ -32,111 +30,80 @@ class TableParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class TableDocument:
-    """A parsed table file: the order, the cells and optional display names."""
-
-    order: int
-    cells: tuple[tuple[int, ...], ...]  # row-major, ascending indices
-    names: Optional[tuple[str, ...]] = None
-
-    @classmethod
-    def parse(cls, text: str) -> TableDocument:
-        lines = text.splitlines()
-        # trailing blank lines are tolerated, nothing else is
-        while lines and not lines[-1].strip():
-            lines.pop()
-        if not lines:
-            raise TableParseError(1, "empty document")
-        if lines[0].strip() != FORMAT_HEADER:
-            raise TableParseError(1, f"unknown version tag {lines[0].strip()!r}")
-        if len(lines) < 2 or not lines[1].startswith("order:"):
-            raise TableParseError(2, "expected 'order: n'")
-        try:
-            order = int(lines[1][len("order:") :].strip())
-        except ValueError:
-            raise TableParseError(2, "order is not an integer") from None
-        if not 1 <= order <= MAX_ORDER:
-            raise TableParseError(
-                2, f"order must be positive and at most {MAX_ORDER}, got {order}"
-            )
-
-        names: Optional[tuple[str, ...]] = None
-        body_start = 2
-        if len(lines) > 2 and lines[2].startswith("names:"):
-            names = tuple(lines[2][len("names:") :].split())
-            if len(names) != order:
-                raise TableParseError(3, f"expected {order} names, got {len(names)}")
-            body_start = 3
-
-        cell_lines = lines[body_start:]
-        if len(cell_lines) != order * order:
-            raise TableParseError(
-                body_start + len(cell_lines) + 1,
-                f"expected {order * order} cell lines, got {len(cell_lines)}",
-            )
-
-        cells = []
-        for i, raw in enumerate(cell_lines):
-            line_no = body_start + i + 1
-            head, sep, tail = raw.partition(":")
-            if not sep:
-                raise TableParseError(line_no, "expected 'x y: e1 e2 ...'")
-            try:
-                x, y = (int(tok) for tok in head.split())
-            except ValueError:
-                raise TableParseError(line_no, "malformed cell position") from None
-            if (x, y) != (i // order, i % order):
-                raise TableParseError(
-                    line_no, f"expected cell ({i // order}, {i % order}), got ({x}, {y})"
-                )
-            toks = tail.split()
-            if not toks:
-                raise TableParseError(line_no, f"empty hyperproduct at ({x}, {y})")
-            try:
-                members = [int(tok) for tok in toks]
-            except ValueError:
-                raise TableParseError(line_no, "malformed element index") from None
-            for e in members:
-                if not 0 <= e < order:
-                    raise TableParseError(
-                        line_no, f"element {e} out of range for order {order}"
-                    )
-            cells.append(tuple(sorted(set(members))))
-        return cls(order=order, cells=tuple(cells), names=names)
-
-    @classmethod
-    def from_hyperop(cls, h: HyperOp, names: Optional[tuple[str, ...]] = None) -> TableDocument:
-        if names is not None and len(names) != h.order:
-            raise ValueError(f"expected {h.order} names, got {len(names)}")
-        return cls(
-            order=h.order,
-            cells=tuple(mask_elements(m) for m in h.cells),
-            names=names,
-        )
-
-    def to_hyperop(self) -> HyperOp:
-        return HyperOp(
-            self.order, (subset_mask(cell, self.order) for cell in self.cells)
-        )
-
-    def to_text(self) -> str:
-        out = [FORMAT_HEADER, f"order: {self.order}"]
-        if self.names is not None:
-            out.append("names: " + " ".join(self.names))
-        for i, cell in enumerate(self.cells):
-            out.append(
-                f"{i // self.order} {i % self.order}: "
-                + " ".join(str(e) for e in cell)
-            )
-        return "\n".join(out) + "\n"
-
-
 def parse_table(text: str) -> HyperOp:
-    """Parse a table document into a HyperOp, dropping display names."""
-    return TableDocument.parse(text).to_hyperop()
+    """Parse a table document into a HyperOp; a ``names:`` line is checked
+    (one name per element) and dropped."""
+    lines = text.splitlines()
+    # trailing blank lines are tolerated, nothing else is
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise TableParseError(1, "empty document")
+    if lines[0].strip() != FORMAT_HEADER:
+        raise TableParseError(1, f"unknown version tag {lines[0].strip()!r}")
+    if len(lines) < 2 or not lines[1].startswith("order:"):
+        raise TableParseError(2, "expected 'order: n'")
+    try:
+        order = int(lines[1][len("order:") :].strip())
+    except ValueError:
+        raise TableParseError(2, "order is not an integer") from None
+    if not 1 <= order <= MAX_ORDER:
+        raise TableParseError(
+            2, f"order must be positive and at most {MAX_ORDER}, got {order}"
+        )
+
+    body_start = 2
+    if len(lines) > 2 and lines[2].startswith("names:"):
+        names = lines[2][len("names:") :].split()
+        if len(names) != order:
+            raise TableParseError(3, f"expected {order} names, got {len(names)}")
+        body_start = 3
+
+    cell_lines = lines[body_start:]
+    if len(cell_lines) != order * order:
+        raise TableParseError(
+            body_start + len(cell_lines) + 1,
+            f"expected {order * order} cell lines, got {len(cell_lines)}",
+        )
+
+    cells = []
+    for i, raw in enumerate(cell_lines):
+        line_no = body_start + i + 1
+        head, sep, tail = raw.partition(":")
+        if not sep:
+            raise TableParseError(line_no, "expected 'x y: e1 e2 ...'")
+        try:
+            x, y = (int(tok) for tok in head.split())
+        except ValueError:
+            raise TableParseError(line_no, "malformed cell position") from None
+        if (x, y) != (i // order, i % order):
+            raise TableParseError(
+                line_no, f"expected cell ({i // order}, {i % order}), got ({x}, {y})"
+            )
+        toks = tail.split()
+        if not toks:
+            raise TableParseError(line_no, f"empty hyperproduct at ({x}, {y})")
+        try:
+            members = [int(tok) for tok in toks]
+        except ValueError:
+            raise TableParseError(line_no, "malformed element index") from None
+        mask = 0
+        for e in members:
+            if not 0 <= e < order:
+                raise TableParseError(
+                    line_no, f"element {e} out of range for order {order}"
+                )
+            mask |= 1 << e
+        cells.append(mask)
+    return HyperOp(order, cells)
 
 
 def serialize_table(h: HyperOp) -> str:
     """Canonical text form of a table; bit-exact and round-trip stable."""
-    return TableDocument.from_hyperop(h).to_text()
+    n = h.order
+    out = [FORMAT_HEADER, f"order: {n}"]
+    out.extend(
+        f"{i // n} {i % n}: " + " ".join(str(e) for e in mask_elements(m))
+        for i, m in enumerate(h.cells)
+    )
+    return "\n".join(out) + "\n"

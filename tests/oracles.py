@@ -132,3 +132,30 @@ CLASS_ORACLES = {
     "right quasi-regular": _right_quasi_holds,
     "semisimple": _semisimple_holds,
 }
+
+
+def ideal_oracle(cells, n, fvals, right: bool) -> bool:
+    """f(u) >= f(x) (right) or f(y) (left) for every u in every cell x o y."""
+    return all(
+        fvals[u] >= (fvals[x] if right else fvals[y])
+        for x in range(n)
+        for y in range(n)
+        for u in cells[(x, y)]
+    )
+
+
+def ideal_closure_oracle(cells, n, fvals, right: bool) -> tuple[Fraction, ...]:
+    """Least ideal above f: raise f(u) to the bound of each cell holding u
+    until nothing moves."""
+    g = list(fvals)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            for y in range(n):
+                bound = g[x] if right else g[y]
+                for u in cells[(x, y)]:
+                    if g[u] < bound:
+                        g[u] = bound
+                        changed = True
+    return tuple(g)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -213,15 +214,63 @@ def test_ideals_output(table_file, capsys):
     assert "right ideal closure: 1/2, 1" in out
 
 
-def test_module_entry_point_runs():
+def test_census_large_exhaustive_order_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["census", "--order", "400", "--exhaustive"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: exhaustive enumeration stops at order 3, got order 400\n"
+    )
+
+
+def test_classify_output_ignores_names_line(tmp_path, capsys):
+    text = serialize_table(HyperOp.left_zero(2))
+    named = tmp_path / "named.txt"
+    named.write_text(text.replace("order: 2\n", "order: 2\nnames: a b\n"))
+    plain = tmp_path / "plain.txt"
+    plain.write_text(text)
+    outputs = []
+    for path in (plain, named):
+        for extra in ([], ["--json"]):
+            assert main(["classify", str(path), *extra]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+    assert outputs[:2] == outputs[2:]
+
+
+def _child_env() -> dict:
     # the child runs the package this test imported, installed or not
     src = str(Path(hypersemigroups.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "hypersemigroups", "--help"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "classify" in proc.stdout
+
+
+def test_closed_stdout_exits_141_silently():
+    # the child reads its table from stdin, so it cannot print before the
+    # read end of its stdout pipe is closed
+    table = serialize_table(HyperOp.full(3)).encode()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypersemigroups", "classify", "/dev/stdin", "--json"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(table, timeout=60)
+    assert proc.returncode == 141
+    assert err == b""

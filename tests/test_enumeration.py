@@ -48,6 +48,20 @@ def test_enumeration_budget_refusals():
         next(enumerate_hypergroupoids(4, allow_large=True))
 
 
+@pytest.mark.parametrize("order", [4, 17, 100, 400])
+def test_large_orders_refused_from_the_order_alone(order):
+    # the refusal must not compute the (2^n - 1)^(n^2) table count first
+    for allow_large in (False, True):
+        with pytest.raises(EnumerationBudgetError) as exc:
+            census(order, exhaustive=True, allow_large=allow_large)
+        limit = 3 if allow_large else 2
+        assert str(exc.value) == (
+            f"exhaustive enumeration stops at order {limit}, got order {order}"
+        )
+        with pytest.raises(EnumerationBudgetError, match=f"got order {order}$"):
+            next(enumerate_hypergroupoids(order, allow_large=allow_large))
+
+
 def test_random_hypergroupoid_determinism():
     assert random_hypergroupoid(3, 42) == random_hypergroupoid(3, 42)
     assert random_hypergroupoid(3, "x:1") == random_hypergroupoid(3, "x:1")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hypersemigroups import (
+    CarrierMismatchError,
     FuzzySubset,
     HyperOp,
     NotAssociativeError,
@@ -18,9 +19,11 @@ from hypersemigroups import (
     left_ideal_closure,
     one,
     random_fuzzy_subset,
+    random_hypergroupoid,
     right_ideal_closure,
 )
 
+from .oracles import ideal_closure_oracle, ideal_oracle, table_view
 from .util import NON_ASSOCIATIVE_2, random_hypersemigroup
 
 HALF = Fraction(1, 2)
@@ -78,6 +81,30 @@ def test_ideal_characterization_both_directions(order2_hypersemigroups):
             assert compose(h, top, l).leq(l)
 
 
+def test_ideals_match_the_cell_scan_oracle(order2_tables):
+    # associative or not: the predicates and closures need no associativity
+    rng = random.Random("ideal-oracle")
+    tables = order2_tables + [
+        random_hypergroupoid(3, f"ideal-oracle:{i}") for i in range(300)
+    ]
+    verdicts = set()
+    for h in tables:
+        cells = table_view(h)
+        for _ in range(5):
+            f = random_fuzzy_subset(h.order, rng)
+            for right, is_ideal, closure in (
+                (True, is_fuzzy_right_ideal, right_ideal_closure),
+                (False, is_fuzzy_left_ideal, left_ideal_closure),
+            ):
+                expected = ideal_oracle(cells, h.order, f.values, right)
+                assert is_ideal(h, f) == expected
+                verdicts.add(expected)
+                assert closure(h, f).values == ideal_closure_oracle(
+                    cells, h.order, f.values, right
+                )
+    assert verdicts == {True, False}
+
+
 def test_right_closure_minimal_among_sampled_ideal_candidates():
     rng = random.Random("minimal")
     for seed in range(4):
@@ -120,6 +147,13 @@ def test_meet_identity_on_random_regular_tables():
 
 
 def test_meet_identity_preconditions_reported_distinctly():
+    # a carrier mismatch is reported first: off associativity, off
+    # regularity, and where the other checks would find no ideal
+    wrong = FuzzySubset([1, 0, 0])
+    for h in (NON_ASSOCIATIVE_2, HyperOp.constant(2), HyperOp.right_zero(2)):
+        for f, g in ((wrong, one(2)), (one(2), wrong)):
+            with pytest.raises(CarrierMismatchError):
+                check_meet_identity(h, f, g)
     with pytest.raises(NotAssociativeError):
         check_meet_identity(NON_ASSOCIATIVE_2, one(2), one(2))
     # the constant table is not regular

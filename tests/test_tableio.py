@@ -2,13 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from hypersemigroups import (
-    HyperOp,
-    TableDocument,
-    TableParseError,
-    parse_table,
-    serialize_table,
-)
+from hypersemigroups import HyperOp, TableParseError, parse_table, serialize_table
 
 LEFT_ZERO_2 = """hypertable v1
 order: 2
@@ -39,18 +33,16 @@ def test_serialize_is_canonical_fixed_point():
 
 def test_unsorted_or_duplicated_indices_normalize():
     text = "hypertable v1\norder: 2\n0 0: 1 0 1\n0 1: 0\n1 0: 1\n1 1: 0 1\n"
-    doc = TableDocument.parse(text)
-    assert doc.cells[0] == (0, 1)
-    assert serialize_table(doc.to_hyperop()).splitlines()[2] == "0 0: 0 1"
+    h = parse_table(text)
+    assert h.hyper_product(0, 0) == 0b11
+    assert serialize_table(h).splitlines()[2] == "0 0: 0 1"
 
 
-def test_names_are_preserved_in_document_round_trip():
-    doc = TableDocument.from_hyperop(HyperOp.left_zero(2), names=("a", "b"))
-    text = doc.to_text()
-    assert "names: a b" in text.splitlines()[2]
-    assert TableDocument.parse(text) == doc
-    with pytest.raises(ValueError):
-        TableDocument.from_hyperop(HyperOp.left_zero(2), names=("a",))
+def test_names_line_is_checked_then_dropped():
+    named = LEFT_ZERO_2.replace("order: 2\n", "order: 2\nnames: a b\n")
+    h = parse_table(named)
+    assert h == parse_table(LEFT_ZERO_2) == HyperOp.left_zero(2)
+    assert serialize_table(h) == LEFT_ZERO_2
 
 
 def test_trailing_blank_lines_tolerated():
