@@ -2,12 +2,13 @@
 independent routes and verify per table that the routes agree.
 
 Each class is written down once, as a bracketed template in ``TEMPLATES``;
-every route evaluates that template in its own algebra:
+every route evaluates that template in its own algebra.  The public
+deciders are the routes, and ``classify`` runs exactly these:
 
-* ``elementwise``  -- exhaustive search for the defining witnesses,
-* ``subset-1`` / ``subset-2`` -- the equivalent product-membership and
-  product-inclusion definitions,
-* ``fuzzy``        -- the point-set reduction of the fuzzy inequality
+* ``is_class_elementwise`` -- exhaustive search for the defining witnesses,
+* ``is_class_subsetdef`` (``subset-1`` / ``subset-2``) -- the equivalent
+  product-membership and product-inclusion definitions,
+* ``is_class_fuzzy`` -- the point-set reduction of the fuzzy inequality
   characterizations (checking the inequality at every indicator suffices
   to force the class property, which is what makes the route decidable).
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Optional, Sequence
 
-from .core import CarrierMismatchError, HyperOp, NotAssociativeError, full_mask
+from .core import HyperOp, NotAssociativeError, full_mask
 from .fuzzy import FuzzySubset, compose_chain, one, point, random_fuzzy_subset
 
 SUBSET_ALL_ORDER_CAP = 12  # variant 2 walks all 2^n - 1 subsets
@@ -75,15 +76,6 @@ def element_membership(
     bit = 1 << a
     return bool(
         TEMPLATES[cls](h.set_product, bit, *(1 << x for x in witnesses)) & bit
-    )
-
-
-def _fuzzy_chain(
-    h: HyperOp, cls: RegularityClass, f: FuzzySubset, top: FuzzySubset
-) -> FuzzySubset:
-    # the class template in the fuzzy algebra: f in S, top = one(n) in H
-    return compose_chain(
-        h, (f, *(top,) * _WITNESS_ARITY[cls]), brackets=TEMPLATES[cls]
     )
 
 
@@ -152,17 +144,6 @@ def _require_hypersemigroup(h: HyperOp) -> None:
         )
 
 
-def _elementwise_holds(h: HyperOp, cls: RegularityClass) -> tuple[bool, list[Witness]]:
-    # no associativity precondition here; the public wrapper adds it
-    witnesses = []
-    for a in range(h.order):
-        found = _first_witness(h, cls, a)
-        if found is None:
-            return False, [Witness(cls, a, "elementwise", False)]
-        witnesses.append(Witness(cls, a, "elementwise", True, found))
-    return True, witnesses
-
-
 def is_class_elementwise(
     h: HyperOp, cls: RegularityClass
 ) -> tuple[bool, list[Witness]]:
@@ -173,11 +154,23 @@ def is_class_elementwise(
     the first failing element on failure.
     """
     _require_hypersemigroup(h)
-    return _elementwise_holds(h, cls)
+    witnesses = []
+    for a in range(h.order):
+        found = _first_witness(h, cls, a)
+        if found is None:
+            return False, [Witness(cls, a, "elementwise", False)]
+        witnesses.append(Witness(cls, a, "elementwise", True, found))
+    return True, witnesses
 
 
-def _subset_holds(h: HyperOp, cls: RegularityClass, variant: int) -> bool:
-    # no associativity precondition here; the public wrapper adds it
+def is_class_subsetdef(h: HyperOp, cls: RegularityClass, variant: int) -> bool:
+    """Decide ``cls`` from the equivalent subset-product definition.
+
+    Variant 1 checks a in the product built from {a} for every element a;
+    variant 2 checks A subset-of the product built from A for every
+    nonempty A (refused above ``SUBSET_ALL_ORDER_CAP`` to bound the 2^n walk).
+    """
+    _require_hypersemigroup(h)
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
     if variant == 2 and h.order > SUBSET_ALL_ORDER_CAP:
@@ -192,27 +185,17 @@ def _subset_holds(h: HyperOp, cls: RegularityClass, variant: int) -> bool:
     )
 
 
-def is_class_subsetdef(h: HyperOp, cls: RegularityClass, variant: int) -> bool:
-    """Decide ``cls`` from the equivalent subset-product definition.
+def fuzzy_inequality_holds(
+    h: HyperOp, cls: RegularityClass, f: FuzzySubset
+) -> bool:
+    """Whether f <= (class template at f, with 1 in the witness slots).
 
-    Variant 1 checks a in the product built from {a} for every element a;
-    variant 2 checks A subset-of the product built from A for every
-    nonempty A (refused above ``SUBSET_ALL_ORDER_CAP`` to bound the 2^n walk).
+    Evaluable on any hypergroupoid.  The template keeps the definition's
+    brackets, so wherever the elementwise definition holds the inequality
+    holds for every f, associative or not.
     """
-    _require_hypersemigroup(h)
-    return _subset_holds(h, cls, variant)
-
-
-def _fuzzy_pointset_holds(h: HyperOp, cls: RegularityClass) -> tuple[bool, list[Witness]]:
-    top = one(h.order)
-    witnesses = []
-    for a in range(h.order):
-        f = point(h.order, a)
-        if f.leq(_fuzzy_chain(h, cls, f, top)):
-            witnesses.append(Witness(cls, a, "fuzzy", True))
-        else:
-            return False, [Witness(cls, a, "fuzzy", False, fuzzy_subset=f)]
-    return True, witnesses
+    top = (one(h.order),) * _WITNESS_ARITY[cls]
+    return f.leq(compose_chain(h, (f, *top), brackets=TEMPLATES[cls]))
 
 
 def is_class_fuzzy(h: HyperOp, cls: RegularityClass) -> tuple[bool, list[Witness]]:
@@ -223,21 +206,13 @@ def is_class_fuzzy(h: HyperOp, cls: RegularityClass) -> tuple[bool, list[Witness
     indicator sweep is a complete decision procedure.
     """
     _require_hypersemigroup(h)
-    return _fuzzy_pointset_holds(h, cls)
-
-
-def fuzzy_inequality_holds(
-    h: HyperOp, cls: RegularityClass, f: FuzzySubset
-) -> bool:
-    """Whether f <= (class template at f, with 1 in the witness slots).
-
-    Evaluable on any hypergroupoid.  The template keeps the definition's
-    brackets, so wherever the elementwise definition holds the inequality
-    holds for every f, associative or not.
-    """
-    if f.order != h.order:
-        raise CarrierMismatchError("fuzzy subset carrier does not match the table")
-    return f.leq(_fuzzy_chain(h, cls, f, one(h.order)))
+    witnesses = []
+    for a in range(h.order):
+        f = point(h.order, a)
+        if not fuzzy_inequality_holds(h, cls, f):
+            return False, [Witness(cls, a, "fuzzy", False, fuzzy_subset=f)]
+        witnesses.append(Witness(cls, a, "fuzzy", True))
+    return True, witnesses
 
 
 @dataclass
@@ -305,12 +280,11 @@ class ClassificationReport:
 
 
 def classify(h: HyperOp) -> ClassificationReport:
-    """Run all routes for all five classes and flag any disagreement."""
-    _require_hypersemigroup(h)
+    """Run every route decider on all five classes and flag any disagreement."""
     classes = {}
     for cls in CLASS_ORDER:
-        ew, ew_wit = _elementwise_holds(h, cls)
-        fz, fz_wit = _fuzzy_pointset_holds(h, cls)
+        ew, ew_wit = is_class_elementwise(h, cls)
+        fz, fz_wit = is_class_fuzzy(h, cls)
         classes[cls] = ClassReport(
             cls=cls,
             elementwise=ew,

@@ -23,6 +23,12 @@ class NotAssociativeError(ValueError):
     failed the associativity check."""
 
 
+def check_order(order: int) -> None:
+    """Refuse a carrier order outside 1..MAX_ORDER."""
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
+
+
 def full_mask(order: int) -> int:
     """Bitmask of the whole carrier {0..order-1}."""
     return (1 << order) - 1
@@ -89,8 +95,7 @@ class HyperOp:
     """
 
     def __init__(self, order: int, cells: Iterable[int]):
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
+        check_order(order)
         cells = tuple(cells)
         if len(cells) != order * order:
             raise ValueError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .classify import CLASS_ORDER, classify
-from .core import HyperOp, _associative
+from .core import HyperOp, _associative, check_order
 
 class EnumerationBudgetError(ValueError):
     """Exhaustive enumeration was asked for an order beyond its limit."""
@@ -43,16 +43,22 @@ def _check_budget(order: int, allow_large: bool) -> int:
     return hypergroupoid_count(order)
 
 
+def _odometer(order: int, first_cells) -> Iterator[tuple[int, ...]]:
+    # row-major cells, the first from first_cells and the rest from every
+    # nonempty subset mask, ascending; the last cell advances fastest
+    masks = range(1, 2**order)
+    return itertools.product(first_cells, *(masks,) * (order * order - 1))
+
+
 def enumerate_hypergroupoids(order: int, allow_large: bool = False) -> Iterator[HyperOp]:
-    """Yield every order-n table exactly once.
+    """Every order-n table exactly once, as a lazy stream.
 
     The stream is the odometer over cells in row-major order, each cell
     running through the nonempty subset masks in ascending order, with the
-    last cell advancing fastest.
+    last cell advancing fastest.  A refused order raises at the call.
     """
     _check_budget(order, allow_large)
-    for cells in itertools.product(range(1, 2**order), repeat=order * order):
-        yield HyperOp(order, cells)
+    return (HyperOp(order, cells) for cells in _odometer(order, range(1, 2**order)))
 
 
 def random_hypergroupoid(order: int, seed) -> HyperOp:
@@ -65,11 +71,6 @@ def random_hypergroupoid(order: int, seed) -> HyperOp:
     rng = random.Random(seed)
     top = 2**order
     return HyperOp(order, (rng.randrange(1, top) for _ in range(order * order)))
-
-
-def _sample_seed(seed, index: int) -> str:
-    # string seeding is stable across runs and platforms
-    return f"{seed}:{index}"
 
 
 @dataclass
@@ -137,19 +138,18 @@ def _record(outcomes: Counter, h: HyperOp) -> None:
 def _census_exhaustive_part(args) -> tuple[int, Counter]:
     order, first_cell = args
     outcomes = Counter()
-    rest = order * order - 1
-    for tail in itertools.product(range(1, 2**order), repeat=rest):
-        cells = (first_cell,) + tail
+    for cells in _odometer(order, (first_cell,)):
         if _associative(cells, order):
             _record(outcomes, HyperOp(order, cells))
-    return (2**order - 1) ** rest, outcomes
+    return (2**order - 1) ** (order * order - 1), outcomes
 
 
 def _census_sampled_part(args) -> tuple[int, Counter]:
     order, seed, lo, hi = args
     outcomes = Counter()
     for i in range(lo, hi):
-        h = random_hypergroupoid(order, _sample_seed(seed, i))
+        # string seeding is stable across runs and platforms
+        h = random_hypergroupoid(order, f"{seed}:{i}")
         if h.is_hypersemigroup():
             _record(outcomes, h)
     return hi - lo, outcomes
@@ -184,6 +184,7 @@ def census(
         parts = [(order, first) for first in range(1, 2**order)]
         worker = _census_exhaustive_part
     else:
+        check_order(order)  # an empty sample draws no table that would refuse it
         if sample < 0:
             raise ValueError("sample count must be nonnegative")
         total = sample

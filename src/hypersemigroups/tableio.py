@@ -10,9 +10,10 @@ Canonical form::
     1 1: 0
 
 One line per cell in row-major order, element indices ascending, single
-spaces, newline-terminated.  An optional ``names:`` line after ``order:``
-is accepted and checked (one name per element) but not kept: parsing
-yields a bare ``HyperOp`` and serialization never writes names.
+spaces, newline-terminated; every number is ASCII digits ``[0-9]+``.  An
+optional ``names:`` line after ``order:`` is accepted and checked (one name
+per element) but not kept: parsing yields a bare ``HyperOp`` and
+serialization never writes names.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ class TableParseError(ValueError):
         self.line_no = line_no
 
 
+def _number(token: str) -> int:
+    # [0-9]+ only: int() alone also takes signs, underscores and non-ASCII digits
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_table(text: str) -> HyperOp:
     """Parse a table document into a HyperOp; a ``names:`` line is checked
     (one name per element) and dropped."""
@@ -44,7 +52,7 @@ def parse_table(text: str) -> HyperOp:
     if len(lines) < 2 or not lines[1].startswith("order:"):
         raise TableParseError(2, "expected 'order: n'")
     try:
-        order = int(lines[1][len("order:") :].strip())
+        order = _number(lines[1][len("order:") :].strip())
     except ValueError:
         raise TableParseError(2, "order is not an integer") from None
     if not 1 <= order <= MAX_ORDER:
@@ -73,7 +81,7 @@ def parse_table(text: str) -> HyperOp:
         if not sep:
             raise TableParseError(line_no, "expected 'x y: e1 e2 ...'")
         try:
-            x, y = (int(tok) for tok in head.split())
+            x, y = (_number(tok) for tok in head.split())
         except ValueError:
             raise TableParseError(line_no, "malformed cell position") from None
         if (x, y) != (i // order, i % order):
@@ -84,7 +92,7 @@ def parse_table(text: str) -> HyperOp:
         if not toks:
             raise TableParseError(line_no, f"empty hyperproduct at ({x}, {y})")
         try:
-            members = [int(tok) for tok in toks]
+            members = [_number(tok) for tok in toks]
         except ValueError:
             raise TableParseError(line_no, "malformed element index") from None
         mask = 0

@@ -7,6 +7,7 @@ import pytest
 
 from hypersemigroups import (
     CLASS_ORDER,
+    CarrierMismatchError,
     FuzzySubset,
     HyperOp,
     NotAssociativeError,
@@ -24,11 +25,6 @@ from hypersemigroups import (
     serialize_table,
     verify_theorems,
     verify_witness,
-)
-from hypersemigroups.classify import (
-    _elementwise_holds,
-    _fuzzy_pointset_holds,
-    _subset_holds,
 )
 
 from .oracles import CLASS_ORACLES, table_view
@@ -148,29 +144,39 @@ def test_classifiers_reject_non_associative_tables():
             call()
 
 
+def test_fuzzy_inequality_refuses_a_foreign_carrier():
+    for f in (point(3, 0), FuzzySubset([1])):
+        with pytest.raises(
+            CarrierMismatchError,
+            match="^fuzzy subset carrier does not match the table$",
+        ):
+            fuzzy_inequality_holds(HyperOp.full(2), RegularityClass.REGULAR, f)
+
+
 def test_fuzzy_inequality_accepts_non_associative_tables():
     f = FuzzySubset([Fraction(1, 2), Fraction(1, 4)])
     for cls in CLASS_ORDER:
         fuzzy_inequality_holds(NON_ASSOCIATIVE_2, cls, f)  # must not raise
 
 
-def test_routes_agree_off_associativity(order2_tables):
+def test_routes_agree_off_associativity(order2_tables, monkeypatch):
     # every route evaluates the class template with the definition's own
     # brackets, so the routes agree on any hypergroupoid, and a table that
     # meets the definition satisfies the fuzzy inequality for every f; the
-    # route internals skip the associativity precondition
+    # public deciders run with their associativity precondition faked
     tables = order2_tables + [
         random_hypergroupoid(3, f"off-assoc:{i}") for i in range(2000)
     ]
     assert sum(not h.is_hypersemigroup() for h in tables) >= 2000
+    monkeypatch.setattr(HyperOp, "is_hypersemigroup", lambda self: True)
     rng = random.Random("off-assoc")
     for h in tables:
         for cls in CLASS_ORDER:
-            held = _elementwise_holds(h, cls)[0]
+            held = is_class_elementwise(h, cls)[0]
             routes = (
-                _subset_holds(h, cls, 1),
-                _subset_holds(h, cls, 2),
-                _fuzzy_pointset_holds(h, cls)[0],
+                is_class_subsetdef(h, cls, 1),
+                is_class_subsetdef(h, cls, 2),
+                is_class_fuzzy(h, cls)[0],
             )
             assert routes == (held,) * 3, (cls.value, serialize_table(h))
             if held:
@@ -215,6 +221,25 @@ def test_fuzzy_witness_reverifies_only_at_its_own_indicator():
             h, Witness(cls, 1, "fuzzy", False, fuzzy_subset=forged)
         )
     assert not verify_witness(h, Witness(cls, 1, "fuzzy", True))
+
+
+def test_elementwise_failure_witness_reverifies_only_without_a_witness():
+    cls = RegularityClass.REGULAR
+    failing = is_class_elementwise(HyperOp.constant(2), cls)[1]
+    assert failing == [Witness(cls, 1, "elementwise", False)]
+    assert verify_witness(HyperOp.constant(2), failing[0])
+    # element 0 of the constant table and every element of the left-zero
+    # table do have a witness, so a failure recorded there is forged
+    assert not verify_witness(
+        HyperOp.constant(2), Witness(cls, 0, "elementwise", False)
+    )
+    assert not verify_witness(HyperOp.left_zero(2), failing[0])
+
+
+def test_verify_witness_refuses_an_unknown_route():
+    w = Witness(RegularityClass.REGULAR, 0, "subset-1", True)
+    with pytest.raises(ValueError, match="unknown witness route 'subset-1'"):
+        verify_witness(HyperOp.left_zero(2), w)
 
 
 def test_elementwise_matches_oracle_on_random_tables():

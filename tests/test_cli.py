@@ -90,6 +90,16 @@ def test_verify_passes_on_left_zero(table_file, capsys):
     assert "result: pass" in capsys.readouterr().out
 
 
+def test_verify_json_is_the_report(table_file, capsys):
+    h = HyperOp.full(2)
+    assert main(["verify", table_file(h), "--trials", "20", "--seed", "j", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    expected = hypersemigroups.verify_theorems(h, random_trials=20, seed="j")
+    assert json.loads(captured.out) == expected.to_dict()
+    assert expected.passed
+
+
 def test_verify_rejects_negative_trials(table_file, capsys):
     assert main(["verify", table_file(HyperOp.left_zero(2)), "--trials", "-5"]) == 2
     captured = capsys.readouterr()
@@ -162,6 +172,30 @@ def test_unexpected_error_exits_4_with_one_error_line(
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: internal error: ZeroDivisionError: boom")
+
+
+def test_census_progress_goes_to_stderr_only(monkeypatch, capsys):
+    import hypersemigroups.cli as cli_mod
+
+    report = hypersemigroups.census(1, exhaustive=True)
+
+    def stub(order, **kwargs):
+        kwargs["progress"](3, 7)
+        return report
+
+    monkeypatch.setattr(cli_mod, "census", stub)
+    assert main(["census", "--order", "3", "--exhaustive"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == report.render()
+    assert captured.err == "census progress: 3/7 tables\n"
+
+
+@pytest.mark.parametrize("order", ["0", "99"])
+def test_census_sampled_impossible_order_exits_2(order, capsys):
+    assert main(["census", "--order", order, "--sample", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: order must be between 1 and 16, got {order}\n"
 
 
 def test_census_order2_exhaustive(capsys):

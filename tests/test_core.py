@@ -47,6 +47,22 @@ def test_constructor_rejects_bad_tables():
             HyperOp(1, [bad])
 
 
+def test_from_rows_builds_cells_and_checks_shape():
+    h = HyperOp.from_rows([[{0}, {0, 1}], [{1}, [1]]])
+    assert h == HyperOp(2, (0b01, 0b11, 0b10, 0b10))
+    with pytest.raises(ValueError, match="not square"):
+        HyperOp.from_rows([[{0}, {0}], [{0}]])
+    with pytest.raises(ValueError, match="element 2 out of range"):
+        HyperOp.from_rows([[{0}, {2}], [{0}, {0}]])
+
+
+def test_constant_rejects_element_out_of_range():
+    assert HyperOp.constant(3, 2).cells == (0b100,) * 9
+    for element in (-1, 3):
+        with pytest.raises(ValueError, match=f"element {element} out of range"):
+            HyperOp.constant(3, element)
+
+
 def test_equality_and_hash():
     a = HyperOp.left_zero(2)
     b = HyperOp(2, (1, 1, 2, 2))

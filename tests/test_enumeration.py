@@ -40,12 +40,13 @@ def test_enumeration_order2_complete_and_distinct(order2_tables):
 
 
 def test_enumeration_budget_refusals():
+    # a refused order raises at the call, before any table is drawn
     with pytest.raises(EnumerationBudgetError):
-        next(enumerate_hypergroupoids(3))
+        enumerate_hypergroupoids(3)
     gen = enumerate_hypergroupoids(3, allow_large=True)
     assert next(gen).order == 3
     with pytest.raises(EnumerationBudgetError):
-        next(enumerate_hypergroupoids(4, allow_large=True))
+        enumerate_hypergroupoids(4, allow_large=True)
 
 
 @pytest.mark.parametrize("order", [4, 17, 100, 400])
@@ -59,7 +60,7 @@ def test_large_orders_refused_from_the_order_alone(order):
             f"exhaustive enumeration stops at order {limit}, got order {order}"
         )
         with pytest.raises(EnumerationBudgetError, match=f"got order {order}$"):
-            next(enumerate_hypergroupoids(order, allow_large=allow_large))
+            enumerate_hypergroupoids(order, allow_large=allow_large)
 
 
 def test_random_hypergroupoid_determinism():
@@ -124,6 +125,15 @@ def test_census_sample_zero():
     assert report.tables_seen == 0
     assert report.hypersemigroups == 0
     report.validate()
+
+
+@pytest.mark.parametrize("order", [0, -1, 17, 99])
+def test_sampled_census_refuses_an_impossible_order(order):
+    # no table is drawn from an empty sample, so the order is checked first
+    for sample in (0, 5):
+        with pytest.raises(ValueError) as exc:
+            census(order, sample=sample)
+        assert str(exc.value) == f"order must be between 1 and 16, got {order}"
 
 
 def test_census_progress_callback():

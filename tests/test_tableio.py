@@ -67,6 +67,16 @@ def test_trailing_blank_lines_tolerated():
         ("hypertable v1\norder: 1\na b: 0\n", 3, "malformed cell position"),
         ("hypertable v1\norder: 1\n0 1: 0\n", 3, "expected cell (0, 0)"),
         ("hypertable v1\norder: 1\n0 0: q\n", 3, "malformed element index"),
+        # numbers are ASCII digit strings, whatever else int() would accept
+        pytest.param(
+            "hypertable v1\norder: 16\n0 0: 1_0\n" + "0 0: 0\n" * 255, 3,
+            "malformed element index", id="underscored-element",
+        ),
+        ("hypertable v1\norder: 1\n0 0: +0\n", 3, "malformed element index"),
+        ("hypertable v1\norder: 1\n0 -0: 0\n", 3, "malformed cell position"),
+        ("hypertable v1\norder: 2\n0 0: \uff11\n0 1: 0\n1 0: 0\n1 1: 0\n", 3,
+         "malformed element index"),
+        ("hypertable v1\norder: \u0662\n" + "0 0: 0\n" * 4, 2, "not an integer"),
     ],
 )
 def test_parse_errors_name_the_offending_line(text, line_no, fragment):
