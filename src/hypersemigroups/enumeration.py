@@ -4,7 +4,9 @@ hyperoperation tables, associativity filtering and classification censuses.
 Census runs partition the table space deterministically (exhaustive mode
 splits on the first cell's subset value, sampled mode into one index range
 per worker) and sum the partitions' outcome counts, so reports are
-byte-identical for any worker count.
+byte-identical for any worker count.  Both modes stream row-major cell
+tuples through one associativity filter and build a ``HyperOp`` only for
+the hypersemigroups, which are then classified.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .classify import CLASS_ORDER, classify
@@ -27,8 +30,7 @@ class EnumerationBudgetError(ValueError):
 
 def hypergroupoid_count(order: int) -> int:
     """(2^n - 1)^(n^2): the number of order-n hyperoperation tables."""
-    if order < 1:
-        raise ValueError("order must be positive")
+    check_order(order)
     return (2**order - 1) ** (order * order)
 
 
@@ -61,16 +63,24 @@ def enumerate_hypergroupoids(order: int, allow_large: bool = False) -> Iterator[
     return (HyperOp(order, cells) for cells in _odometer(order, range(1, 2**order)))
 
 
+def _random_cells(order: int, seed) -> list[int]:
+    rng = random.Random(seed)
+    top = 2**order
+    return [rng.randrange(1, top) for _ in range(order * order)]
+
+
+def _sample(order: int, seed: str, indices: range) -> Iterator[list[int]]:
+    # string seeding is stable across runs and platforms
+    return (_random_cells(order, f"{seed}:{i}") for i in indices)
+
+
 def random_hypergroupoid(order: int, seed) -> HyperOp:
     """A table with each cell drawn uniformly from the nonempty subsets.
 
     Deterministic for a fixed seed (int or str).
     """
-    if order < 1:
-        raise ValueError("order must be positive")
-    rng = random.Random(seed)
-    top = 2**order
-    return HyperOp(order, (rng.randrange(1, top) for _ in range(order * order)))
+    check_order(order)
+    return HyperOp(order, _random_cells(order, seed))
 
 
 @dataclass
@@ -129,30 +139,16 @@ class CensusReport:
         }
 
 
-def _record(outcomes: Counter, h: HyperOp) -> None:
-    report = classify(h)
-    bad = sum(not cr.routes_agree for cr in report.classes.values())
-    outcomes[report.combination_key(), bad] += 1
-
-
-def _census_exhaustive_part(args) -> tuple[int, Counter]:
-    order, first_cell = args
+def _census_part(args) -> tuple[int, Counter]:
+    # one partition: `tables` streams its cell tuples, `size` counts them
+    order, size, tables = args
     outcomes = Counter()
-    for cells in _odometer(order, (first_cell,)):
+    for cells in tables():
         if _associative(cells, order):
-            _record(outcomes, HyperOp(order, cells))
-    return (2**order - 1) ** (order * order - 1), outcomes
-
-
-def _census_sampled_part(args) -> tuple[int, Counter]:
-    order, seed, lo, hi = args
-    outcomes = Counter()
-    for i in range(lo, hi):
-        # string seeding is stable across runs and platforms
-        h = random_hypergroupoid(order, f"{seed}:{i}")
-        if h.is_hypersemigroup():
-            _record(outcomes, h)
-    return hi - lo, outcomes
+            report = classify(HyperOp(order, cells))
+            bad = sum(not cr.routes_agree for cr in report.classes.values())
+            outcomes[report.combination_key(), bad] += 1
+    return size, outcomes
 
 
 def census(
@@ -181,19 +177,19 @@ def census(
     workers = min(jobs, os.cpu_count() or 1)
     if exhaustive:
         total = _check_budget(order, allow_large)
-        parts = [(order, first) for first in range(1, 2**order)]
-        worker = _census_exhaustive_part
+        size = total // (2**order - 1)
+        parts = [
+            (order, size, partial(_odometer, order, (first,)))
+            for first in range(1, 2**order)
+        ]
     else:
         check_order(order)  # an empty sample draws no table that would refuse it
         if sample < 0:
             raise ValueError("sample count must be nonnegative")
         total = sample
         chunk = -(-sample // workers) or 1
-        parts = [
-            (order, str(seed), lo, min(lo + chunk, sample))
-            for lo in range(0, sample, chunk)
-        ]
-        worker = _census_sampled_part
+        ranges = [range(lo, min(lo + chunk, sample)) for lo in range(0, sample, chunk)]
+        parts = [(order, len(r), partial(_sample, order, str(seed), r)) for r in ranges]
     workers = min(workers, len(parts))
 
     # each partition's outcomes: (combination key, disagreeing classes) -> tables
@@ -201,7 +197,7 @@ def census(
     outcomes = Counter()
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # map preserves partition order, keeping the merge deterministic
-        for part_seen, part in (pool.map if pool else map)(worker, parts):
+        for part_seen, part in (pool.map if pool else map)(_census_part, parts):
             seen += part_seen
             outcomes += part
             if progress is not None:

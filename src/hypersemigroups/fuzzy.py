@@ -17,6 +17,7 @@ from .core import CarrierMismatchError, HyperOp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_DENOMINATOR = 16  # bound on random_fuzzy_subset's denominators
 
 # p/q with a nonzero q, an integer or a plain decimal such as "0.5"; no
 # exponent, because Fraction("1e-99999999") computes 10**99999999
@@ -67,9 +68,6 @@ class FuzzySubset:
     def __getitem__(self, x: int) -> Fraction:
         return self.values[x]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FuzzySubset) and self.values == other.values
 
@@ -112,11 +110,6 @@ def point(order: int, a: int) -> FuzzySubset:
     if not 0 <= a < order:
         raise ValueError(f"element {a} out of range for order {order}")
     return FuzzySubset._trusted(tuple(ONE if x == a else ZERO for x in range(order)))
-
-
-def a_set(h: HyperOp, a: int) -> frozenset[tuple[int, int]]:
-    """The pairs (y, z) whose hyperproduct contains a; may be empty."""
-    return frozenset(h.pairs_containing(a))
 
 
 def _left_fold(product, *factors):
@@ -176,18 +169,14 @@ def compose_chain(
     return _evaluate(h, factors, brackets)
 
 
-def random_fuzzy_subset(
-    order: int, rng: random.Random, max_denominator: int = 16
-) -> FuzzySubset:
-    """Random fuzzy subset with denominators bounded by max_denominator.
+def random_fuzzy_subset(order: int, rng: random.Random) -> FuzzySubset:
+    """Random fuzzy subset with denominators at most MAX_DENOMINATOR.
 
     Value closure under min/max means the bound loses no generality class
     while keeping exact arithmetic cheap.
     """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be positive")
     out = []
     for _ in range(order):
-        q = rng.randint(1, max_denominator)
+        q = rng.randint(1, MAX_DENOMINATOR)
         out.append(Fraction(rng.randint(0, q), q))
     return FuzzySubset(out)

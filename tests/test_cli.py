@@ -198,6 +198,16 @@ def test_census_sampled_impossible_order_exits_2(order, capsys):
     assert captured.err == f"error: order must be between 1 and 16, got {order}\n"
 
 
+def test_census_order0_same_error_in_both_modes(capsys):
+    errors = []
+    for mode in (["--exhaustive"], ["--sample", "0"]):
+        assert main(["census", "--order", "0", *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == ["error: order must be between 1 and 16, got 0\n"] * 2
+
+
 def test_census_order2_exhaustive(capsys):
     assert main(["census", "--order", "2", "--exhaustive"]) == 0
     out = capsys.readouterr().out

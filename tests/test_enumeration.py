@@ -24,6 +24,28 @@ def test_population_counts():
     assert hypergroupoid_count(3) == 7**9 == 40_353_607
     with pytest.raises(ValueError):
         hypergroupoid_count(0)
+    with pytest.raises(ValueError, match="between 1 and 16, got 17$"):
+        hypergroupoid_count(17)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_nonpositive_order_refused_with_one_message(order):
+    # every entry point refuses through the same carrier check
+    calls = (
+        lambda: hypergroupoid_count(order),
+        lambda: random_hypergroupoid(order, "s"),
+        lambda: census(order, exhaustive=True),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"order must be between 1 and 16, got {order}"
+
+
+def test_random_hypergroupoid_checks_the_order_before_drawing():
+    # 10^12 cells would be drawn if the order were checked by HyperOp
+    with pytest.raises(ValueError, match="got 1000000$"):
+        random_hypergroupoid(10**6, "s")
 
 
 def test_enumeration_order1_is_the_unique_table():
@@ -184,16 +206,38 @@ def test_sampled_partitions_bounded_by_workers_not_jobs(monkeypatch):
     sizes, ranges = [], []
 
     def stub_worker(args):
-        # records the partition instead of drawing its tables
-        _, _, lo, hi = args
-        ranges.append((lo, hi))
-        return hi - lo, Counter()
+        # records the partition's index range instead of drawing its tables
+        _, size, tables = args
+        indices = tables.args[-1]
+        ranges.append((indices.start, indices.stop))
+        return size, Counter()
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", _recording_pool(sizes))
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(enumeration, "_census_sampled_part", stub_worker)
+    monkeypatch.setattr(enumeration, "_census_part", stub_worker)
     report = census(3, sample=10**5, jobs=10**5)
     assert sizes == [2]
     assert ranges == [(0, 50_000), (50_000, 100_000)]
     assert report.tables_seen == 100_000
     assert report.hypersemigroups == 0
+
+
+def test_census_builds_a_hyperop_only_for_hypersemigroups(monkeypatch):
+    # one associativity filter on raw cells in both modes: every table
+    # the census builds is a hypersemigroup it then classifies
+    built = []
+
+    class CountingHyperOp(HyperOp):
+        def __init__(self, order, cells):
+            built.append(order)
+            super().__init__(order, cells)
+
+    monkeypatch.setattr(enumeration, "HyperOp", CountingHyperOp)
+    for run in (
+        lambda: census(2, exhaustive=True),
+        lambda: census(3, sample=2000, seed="c8"),
+    ):
+        built.clear()
+        report = run()
+        assert report.hypersemigroups > 0
+        assert len(built) == report.hypersemigroups
