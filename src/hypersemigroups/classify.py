@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Optional, Sequence
 
-from .core import HyperOp, NotAssociativeError, full_mask
+from .core import HyperOp, NotAssociativeError, check_element, full_mask
 from .fuzzy import FuzzySubset, compose_chain, one, point, random_fuzzy_subset
 
 SUBSET_ALL_ORDER_CAP = 12  # variant 2 walks all 2^n - 1 subsets
@@ -73,6 +73,8 @@ def element_membership(
             f"{cls.value} needs {_WITNESS_ARITY[cls]} witness elements, "
             f"got {len(witnesses)}"
         )
+    for e in (a, *witnesses):
+        check_element(e, h.order)
     bit = 1 << a
     return bool(
         TEMPLATES[cls](h.set_product, bit, *(1 << x for x in witnesses)) & bit

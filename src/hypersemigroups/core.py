@@ -29,6 +29,12 @@ def check_order(order: int) -> None:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
 
 
+def check_element(e: int, order: int) -> None:
+    """Refuse an element index outside the carrier {0..order-1}."""
+    if not 0 <= e < order:
+        raise ValueError(f"element {e} out of range for order {order}")
+
+
 def full_mask(order: int) -> int:
     """Bitmask of the whole carrier {0..order-1}."""
     return (1 << order) - 1
@@ -38,14 +44,15 @@ def subset_mask(elements: Iterable[int], order: int) -> int:
     """Bitmask for an iterable of element indices."""
     mask = 0
     for e in elements:
-        if not 0 <= e < order:
-            raise ValueError(f"element {e} out of range for carrier of order {order}")
+        check_element(e, order)
         mask |= 1 << e
     return mask
 
 
 def mask_elements(mask: int) -> tuple[int, ...]:
     """Ascending element indices of a subset bitmask."""
+    if mask < 0:  # -1 >> 1 is -1, so the loop below would never end
+        raise ValueError(f"mask must be nonnegative, got {mask}")
     out = []
     i = 0
     while mask:
@@ -136,9 +143,7 @@ class HyperOp:
     @classmethod
     def constant(cls, order: int, element: int = 0) -> HyperOp:
         """Every cell is the singleton {element}."""
-        if not 0 <= element < order:
-            raise ValueError(f"element {element} out of range")
-        return cls(order, (1 << element,) * (order * order))
+        return cls(order, (subset_mask((element,), order),) * (order * order))
 
     @classmethod
     def left_zero(cls, order: int) -> HyperOp:
@@ -158,22 +163,19 @@ class HyperOp:
     def hyper_product(self, a: int, b: int) -> int:
         """The table cell a o b, as a nonempty subset mask."""
         order = self.order
-        if not (0 <= a < order and 0 <= b < order):
-            raise ValueError(f"element pair ({a}, {b}) out of range for order {order}")
+        check_element(a, order)
+        check_element(b, order)
         return self.cells[a * order + b]
 
     def set_product(self, a_mask: int, b_mask: int) -> int:
         """Union of cell(a, b) over a in A, b in B.
 
         The product of two nonempty subsets is nonempty; if either operand is
-        empty the result is the empty mask (the unique monotone extension,
-        kept so folds and filters compose cleanly).
+        empty the result is the empty mask (the unique monotone extension).
         """
         full = self._full
         if not (0 <= a_mask <= full and 0 <= b_mask <= full):
             raise ValueError("operand is not a subset of the carrier")
-        if a_mask == 0 or b_mask == 0:
-            return 0
         cells = self.cells
         order = self.order
         bits = _bit_lists(order)
@@ -194,8 +196,7 @@ class HyperOp:
 
     def pairs_containing(self, a: int) -> tuple[tuple[int, int], ...]:
         """All (y, z) with a in cell(y, z), in lexicographic order."""
-        if not 0 <= a < self.order:
-            raise ValueError(f"element {a} out of range for order {self.order}")
+        check_element(a, self.order)
         if self._pairs is None:
             order = self.order
             cells = self.cells

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Any, Callable, Iterable, Sequence
 
-from .core import CarrierMismatchError, HyperOp
+from .core import CarrierMismatchError, HyperOp, check_element
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -107,8 +107,7 @@ def one(order: int) -> FuzzySubset:
 
 def point(order: int, a: int) -> FuzzySubset:
     """The indicator of {a}: degree 1 at a, 0 elsewhere."""
-    if not 0 <= a < order:
-        raise ValueError(f"element {a} out of range for order {order}")
+    check_element(a, order)
     return FuzzySubset._trusted(tuple(ONE if x == a else ZERO for x in range(order)))
 
 

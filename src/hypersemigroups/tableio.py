@@ -18,7 +18,7 @@ serialization never writes names.
 
 from __future__ import annotations
 
-from .core import MAX_ORDER, HyperOp, mask_elements
+from .core import HyperOp, check_order, mask_elements, subset_mask
 
 FORMAT_HEADER = "hypertable v1"
 
@@ -55,10 +55,10 @@ def parse_table(text: str) -> HyperOp:
         order = _number(lines[1][len("order:") :].strip())
     except ValueError:
         raise TableParseError(2, "order is not an integer") from None
-    if not 1 <= order <= MAX_ORDER:
-        raise TableParseError(
-            2, f"order must be positive and at most {MAX_ORDER}, got {order}"
-        )
+    try:
+        check_order(order)
+    except ValueError as exc:
+        raise TableParseError(2, str(exc)) from None
 
     body_start = 2
     if len(lines) > 2 and lines[2].startswith("names:"):
@@ -95,14 +95,10 @@ def parse_table(text: str) -> HyperOp:
             members = [_number(tok) for tok in toks]
         except ValueError:
             raise TableParseError(line_no, "malformed element index") from None
-        mask = 0
-        for e in members:
-            if not 0 <= e < order:
-                raise TableParseError(
-                    line_no, f"element {e} out of range for order {order}"
-                )
-            mask |= 1 << e
-        cells.append(mask)
+        try:
+            cells.append(subset_mask(members, order))
+        except ValueError as exc:
+            raise TableParseError(line_no, str(exc)) from None
     return HyperOp(order, cells)
 
 

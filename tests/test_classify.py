@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from hypersemigroups import (
     CLASS_ORDER,
+    TEMPLATES,
     CarrierMismatchError,
     FuzzySubset,
     HyperOp,
@@ -15,6 +17,7 @@ from hypersemigroups import (
     Witness,
     classify,
     element_membership,
+    full_mask,
     fuzzy_inequality_holds,
     is_class_elementwise,
     is_class_fuzzy,
@@ -28,7 +31,15 @@ from hypersemigroups import (
 )
 
 from .oracles import CLASS_ORACLES, table_view
-from .util import NON_ASSOCIATIVE_2, random_hypersemigroup
+from .util import (
+    NON_ASSOCIATIVE_2,
+    class_key,
+    o3_pool_failing,
+    o3_pool_passing,
+    random_hypersemigroup,
+    relabel,
+    transpose,
+)
 
 
 def test_left_zero_all_classes_true_all_routes():
@@ -294,3 +305,55 @@ def test_quasi_regular_both_sides_implies_semisimple_in_census(
             RegularityClass.RIGHT_QUASI_REGULAR
         ):
             assert report.verdict(RegularityClass.SEMISIMPLE)
+
+
+# Every route evaluates the same TEMPLATES entry, so route agreement cannot
+# catch a wrong bracket or a swapped slot; these checks need no definitions.
+
+
+def _symmetry_tables(order2_hypersemigroups):
+    return (
+        order2_hypersemigroups
+        + o3_pool_failing()
+        + o3_pool_passing(100, "symmetry")
+    )
+
+
+def test_transpose_swaps_left_and_right_quasi_regular(order2_hypersemigroups):
+    for h in _symmetry_tables(order2_hypersemigroups):
+        k = class_key(h)
+        assert class_key(transpose(h)) == k[:2] + k[3] + k[2] + k[4], h
+
+
+def test_key_invariant_under_relabelling(order2_hypersemigroups):
+    for h in _symmetry_tables(order2_hypersemigroups):
+        for perm in itertools.permutations(range(h.order)):
+            assert class_key(relabel(h, perm)) == class_key(h), (h, perm)
+
+
+def test_fuzzy_inequality_is_the_subset_inclusion_on_level_cuts(order2_tables):
+    # sup-min composition commutes with level cuts, so f <= T(f, 1, ...)
+    # holds iff every cut A = {x : f(x) >= t}, t > 0, has A <= T(A, H, ...);
+    # most of the order-3 tables are not associative
+    rng = random.Random("level-cuts")
+    tables = order2_tables + [
+        random_hypergroupoid(3, f"level-cuts:{i}") for i in range(300)
+    ]
+    verdicts = set()
+    for h in tables:
+        for cls in CLASS_ORDER:
+            template = TEMPLATES[cls]
+            full = (full_mask(h.order),) * (template.__code__.co_argcount - 2)
+            for _ in range(5):
+                f = random_fuzzy_subset(h.order, rng)
+                cuts = {
+                    sum(1 << x for x, v in enumerate(f.values) if v >= t)
+                    for t in f.values
+                    if t > 0
+                }
+                expected = all(
+                    template(h.set_product, a, *full) & a == a for a in cuts
+                )
+                assert fuzzy_inequality_holds(h, cls, f) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}

@@ -70,7 +70,7 @@ def test_classify_order_above_cap_exits_2(tmp_path, table_file, capsys):
     bad = tmp_path / "big.txt"
     bad.write_text("hypertable v1\norder: 17\n0 0: 0\n", encoding="utf-8")
     assert main(["classify", str(bad)]) == 2
-    assert "line 2: order must be positive and at most 16" in capsys.readouterr().err
+    assert "line 2: order must be between 1 and 16, got 17" in capsys.readouterr().err
     # a valid table file, but subset-2 stops at order 12
     path = table_file(HyperOp.constant(13))
     for command in ("classify", "verify"):

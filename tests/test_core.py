@@ -7,10 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from hypersemigroups import (
     HyperOp,
+    RegularityClass,
+    Witness,
+    element_membership,
     full_mask,
     mask_elements,
+    parse_table,
+    point,
     random_hypergroupoid,
+    serialize_table,
     subset_mask,
+    verify_witness,
 )
 
 from .oracles import assoc_oracle, set_product_oracle, table_view
@@ -29,6 +36,64 @@ def test_mask_helpers_round_trip():
     assert full_mask(3) == 7
     with pytest.raises(ValueError):
         subset_mask([3], 3)
+
+
+def test_mask_elements_refuses_a_negative_mask():
+    for mask in (-1, -8):
+        with pytest.raises(ValueError, match=f"mask must be nonnegative, got {mask}"):
+            mask_elements(mask)
+
+
+def _witness(element, holds=True, elements=(0,), route="elementwise"):
+    return Witness(RegularityClass.REGULAR, element, route, holds, elements)
+
+
+# every public entry point that takes an element index, on a carrier of order 3
+LZ3 = HyperOp.left_zero(3)
+ELEMENT_ENTRY_POINTS = {
+    "subset_mask": lambda e: subset_mask([0, e], 3),
+    "constant": lambda e: HyperOp.constant(3, e),
+    "hyper_product-left": lambda e: LZ3.hyper_product(e, 0),
+    "hyper_product-right": lambda e: LZ3.hyper_product(0, e),
+    "pairs_containing": lambda e: LZ3.pairs_containing(e),
+    "point": lambda e: point(3, e),
+    "element_membership-element": lambda e: element_membership(
+        LZ3, RegularityClass.REGULAR, e, (0,)
+    ),
+    "element_membership-witness": lambda e: element_membership(
+        LZ3, RegularityClass.SEMISIMPLE, 0, (0, e, 0)
+    ),
+    "verify_witness-holds": lambda e: verify_witness(LZ3, _witness(e)),
+    "verify_witness-fails": lambda e: verify_witness(LZ3, _witness(e, False, ())),
+    "verify_witness-witness": lambda e: verify_witness(
+        LZ3, _witness(0, True, (e,))
+    ),
+    "verify_witness-fuzzy": lambda e: verify_witness(
+        LZ3, _witness(e, False, (), "fuzzy")
+    ),
+    # a table file cannot spell -1: that is a malformed index
+    "parse_table": lambda e: parse_table(
+        serialize_table(LZ3).replace("0 0: 0\n", f"0 0: {e}\n")
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,element",
+    [
+        (name, e)
+        for name in ELEMENT_ENTRY_POINTS
+        for e in (-1, 3)
+        if (name, e) != ("parse_table", -1)
+    ],
+)
+def test_every_entry_point_refuses_an_element_off_the_carrier(entry, element):
+    with pytest.raises(ValueError) as exc:
+        ELEMENT_ENTRY_POINTS[entry](element)
+    # the table parser puts the line number in front
+    assert str(exc.value).removeprefix("line 3: ") == (
+        f"element {element} out of range for order 3"
+    )
 
 
 def test_constructor_rejects_bad_tables():

@@ -18,13 +18,21 @@ from hypersemigroups import (
     is_fuzzy_right_ideal,
     left_ideal_closure,
     one,
+    point,
     random_fuzzy_subset,
     random_hypergroupoid,
     right_ideal_closure,
+    serialize_table,
 )
 
 from .oracles import ideal_closure_oracle, ideal_oracle, table_view
-from .util import NON_ASSOCIATIVE_2, random_hypersemigroup
+from .util import (
+    NON_ASSOCIATIVE_2,
+    class_key,
+    o3_pool_failing,
+    o3_pool_passing,
+    random_hypersemigroup,
+)
 
 HALF = Fraction(1, 2)
 
@@ -167,3 +175,39 @@ def test_meet_identity_preconditions_reported_distinctly():
     lz = HyperOp.left_zero(2)
     with pytest.raises(NotFuzzyIdealError, match="left"):
         check_meet_identity(lz, one(2), FuzzySubset([0, 1]))
+
+
+def _principal_ideal_key(h):
+    # the five class bits from the principal fuzzy ideals R(a), L(a) and
+    # I(a) = right closure of L(a), in CLASS_ORDER
+    n = h.order
+    bits = [True] * 5
+    for a in range(n):
+        r = right_ideal_closure(h, point(n, a))
+        l = left_ideal_closure(h, point(n, a))
+        i = right_ideal_closure(h, l)
+        rl = r.meet(l)
+        holds = (
+            rl == compose(h, r, l),  # regular
+            rl.leq(compose(h, l, r)),  # intra-regular
+            l.leq(compose(h, l, l)),  # left quasi-regular
+            r.leq(compose(h, r, r)),  # right quasi-regular
+            i.leq(compose(h, i, i)),  # semisimple
+        )
+        bits = [b and c for b, c in zip(bits, holds)]
+    return "".join("1" if b else "0" for b in bits)
+
+
+def test_principal_fuzzy_ideals_decide_the_five_classes(order2_hypersemigroups):
+    tables = (
+        order2_hypersemigroups
+        + o3_pool_failing()
+        + o3_pool_passing(1000, "principal-ideals")
+    )
+    keys = set()
+    for h in tables:
+        key = class_key(h)
+        assert _principal_ideal_key(h) == key, serialize_table(h)
+        keys.add(key)
+    # every combination the order-3 pool holds is decided, not just 11111
+    assert {"00000", "01011", "01101", "11111"} <= keys

@@ -56,8 +56,14 @@ def test_trailing_blank_lines_tolerated():
         ("hypertable v2\norder: 1\n0 0: 0\n", 1, "unknown version tag"),
         ("hypertable v1\nsize: 1\n0 0: 0\n", 2, "expected 'order: n'"),
         ("hypertable v1\norder: x\n0 0: 0\n", 2, "not an integer"),
-        ("hypertable v1\norder: 0\n", 2, "positive"),
-        ("hypertable v1\norder: 17\n", 2, "at most 16"),
+        pytest.param(
+            "hypertable v1\norder: 0\n", 2,
+            "order must be between 1 and 16, got 0", id="order-0",
+        ),
+        pytest.param(
+            "hypertable v1\norder: 17\n", 2,
+            "order must be between 1 and 16, got 17", id="order-17",
+        ),
         ("hypertable v1\norder: 1\n", 3, "expected 1 cell lines, got 0"),
         ("hypertable v1\norder: 1\n0 0: 0\n0 1: 0\n", 5, "expected 1 cell lines"),
         ("hypertable v1\norder: 2\nnames: a\n" + "0 0: 0\n" * 4, 3, "expected 2 names"),

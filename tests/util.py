@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import gzip
 import random
+from functools import cache
+from pathlib import Path
 
-from hypersemigroups import HyperOp
+from hypersemigroups import HyperOp, classify, mask_elements, subset_mask
+
+# every order-3 hypersemigroup with its class key, found by the benchmark's
+# own search and oracle (perfbench/make_pool.py); read only
+O3_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "o3_pool.txt.gz"
 
 
 def random_hypersemigroup(order: int, seed) -> HyperOp:
@@ -45,3 +52,56 @@ def fixed_hypersemigroups(count: int, orders=(2, 3, 4)) -> list[HyperOp]:
 
 
 NON_ASSOCIATIVE_2 = HyperOp(2, (2, 1, 1, 1))  # cell(0,0)={1}, rest {0}
+
+
+@cache
+def _o3_pool() -> dict[str, list[tuple[int, ...]]]:
+    pool: dict[str, list[tuple[int, ...]]] = {}
+    with gzip.open(O3_POOL, "rt") as fh:
+        for line in fh:
+            cells, key = line.split()
+            pool.setdefault(key, []).append(tuple(int(d) for d in cells))
+    return pool
+
+
+def o3_pool_failing() -> list[HyperOp]:
+    """The 501 order-3 hypersemigroups that fail some class."""
+    return [
+        HyperOp(3, cells)
+        for key, tables in _o3_pool().items()
+        if key != "11111"
+        for cells in tables
+    ]
+
+
+def o3_pool_passing(count: int, seed: str) -> list[HyperOp]:
+    """A seeded ``count`` of the 27,610 order-3 hypersemigroups in all five
+    classes."""
+    return [
+        HyperOp(3, cells)
+        for cells in random.Random(seed).sample(_o3_pool()["11111"], count)
+    ]
+
+
+@cache
+def class_key(h: HyperOp) -> str:
+    """``classify(h).combination_key()``, computed once per table."""
+    return classify(h).combination_key()
+
+
+def transpose(h: HyperOp) -> HyperOp:
+    """The opposite table: cell (x, y) of the result is cell (y, x) of h."""
+    n = h.order
+    return HyperOp(n, (h.cells[y * n + x] for x in range(n) for y in range(n)))
+
+
+def relabel(h: HyperOp, perm) -> HyperOp:
+    """The table with every element e renamed perm[e]."""
+    n = h.order
+    cells = [0] * (n * n)
+    for i, mask in enumerate(h.cells):
+        x, y = divmod(i, n)
+        cells[perm[x] * n + perm[y]] = subset_mask(
+            (perm[e] for e in mask_elements(mask)), n
+        )
+    return HyperOp(n, cells)
