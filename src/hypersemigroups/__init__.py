@@ -12,13 +12,11 @@ from .classify import (
     VerificationReport,
     Witness,
     classify,
-    element_membership,
     fuzzy_inequality_holds,
     is_class_elementwise,
     is_class_fuzzy,
     is_class_subsetdef,
     verify_theorems,
-    verify_witness,
 )
 from .core import (
     CarrierMismatchError,
@@ -82,7 +80,6 @@ __all__ = [
     "classify",
     "compose",
     "compose_chain",
-    "element_membership",
     "enumerate_hypergroupoids",
     "full_mask",
     "fuzzy_inequality_holds",
@@ -103,5 +100,4 @@ __all__ = [
     "serialize_table",
     "subset_mask",
     "verify_theorems",
-    "verify_witness",
 ]

@@ -1,5 +1,6 @@
 """Decide the five regularity classes of a finite hypersemigroup by three
-independent routes and verify per table that the routes agree.
+independent routes and verify per table that the routes agree, down to the
+element at which a failing class first fails.
 
 Each class is written down once, as a bracketed template in ``TEMPLATES``;
 every route evaluates that template in its own algebra.  The public
@@ -19,9 +20,9 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
-from .core import HyperOp, NotAssociativeError, check_element, full_mask
+from .core import HyperOp, NotAssociativeError, full_mask
 from .fuzzy import FuzzySubset, compose_chain, one, point, random_fuzzy_subset
 
 SUBSET_ALL_ORDER_CAP = 12  # variant 2 walks all 2^n - 1 subsets
@@ -60,34 +61,14 @@ _WITNESS_ARITY: dict[RegularityClass, int] = {
 }
 
 
-def element_membership(
-    h: HyperOp, cls: RegularityClass, a: int, witnesses: Sequence[int]
-) -> bool:
-    """Evaluate the raw defining membership of class ``cls`` at element a.
-
-    ``witnesses`` fill the template's witness slots in order; used by the
-    elementwise decision search and to re-verify stored witnesses.
-    """
-    if len(witnesses) != _WITNESS_ARITY[cls]:
-        raise ValueError(
-            f"{cls.value} needs {_WITNESS_ARITY[cls]} witness elements, "
-            f"got {len(witnesses)}"
-        )
-    for e in (a, *witnesses):
-        check_element(e, h.order)
-    bit = 1 << a
-    return bool(
-        TEMPLATES[cls](h.set_product, bit, *(1 << x for x in witnesses)) & bit
-    )
-
-
 @dataclass(frozen=True)
 class Witness:
     """Outcome of a per-element check on one route.
 
-    For a positive elementwise witness, ``elements`` re-verifies under the
-    raw membership definition; for a fuzzy failure, ``fuzzy_subset`` is the
-    indicator whose inequality fails.
+    For a positive elementwise witness, ``elements`` fills the template's
+    witness slots; for a fuzzy failure, ``fuzzy_subset`` is the indicator
+    whose inequality fails.  A failing class records one failure per route,
+    and the two name the same element.
     """
 
     cls: RegularityClass
@@ -114,29 +95,12 @@ def _first_witness(
     h: HyperOp, cls: RegularityClass, a: int
 ) -> Optional[tuple[int, ...]]:
     # the lexicographically first witness tuple for element a, or None
+    bit = 1 << a
+    template = TEMPLATES[cls]
     for ws in itertools.product(range(h.order), repeat=_WITNESS_ARITY[cls]):
-        if element_membership(h, cls, a, ws):
+        if template(h.set_product, bit, *(1 << x for x in ws)) & bit:
             return ws
     return None
-
-
-def verify_witness(h: HyperOp, w: Witness) -> bool:
-    """Re-check a stored witness against the table it came from.
-
-    A fuzzy witness reverifies only if the subset it records, if any, is
-    the indicator of its element.
-    """
-    if w.route == "elementwise":
-        if w.holds:
-            return element_membership(h, w.cls, w.element, w.elements)
-        # a recorded failure means no witness tuple exists for that element
-        return _first_witness(h, w.cls, w.element) is None
-    if w.route == "fuzzy":
-        f = point(h.order, w.element)
-        if w.fuzzy_subset is not None and w.fuzzy_subset != f:
-            return False
-        return fuzzy_inequality_holds(h, w.cls, f) == w.holds
-    raise ValueError(f"unknown witness route {w.route!r}")
 
 
 def _require_hypersemigroup(h: HyperOp) -> None:
@@ -357,7 +321,9 @@ def verify_theorems(
     For a class the table belongs to, every sampled f must satisfy the
     class inequality; a violation is a counterexample to the theorem (or a
     bug) and is returned in the report rather than raised.  For a class
-    the table fails, the recorded failing indicator is re-checked.
+    the table fails, nothing is recomputed: the inequality at ``point(a)``
+    holds exactly when a has a witness, so the elementwise and fuzzy
+    failures already in the report must name the same element.
     """
     if random_trials < 0:
         raise ValueError(f"trials must be nonnegative, got {random_trials}")
@@ -375,10 +341,11 @@ def verify_theorems(
                     counterexample = f
                     break
         else:
-            failing = [
-                w for w in cr.witnesses if w.route == "fuzzy" and not w.holds
-            ]
-            failure_reverified = all(verify_witness(h, w) for w in failing)
+            ew, fz = (
+                [w.element for w in cr.witnesses if w.route == r and not w.holds]
+                for r in ("elementwise", "fuzzy")
+            )
+            failure_reverified = len(ew) == 1 and ew == fz
         checks.append(
             TheoremCheck(
                 cls=cls,

@@ -143,22 +143,24 @@ class HyperOp:
     @classmethod
     def constant(cls, order: int, element: int = 0) -> HyperOp:
         """Every cell is the singleton {element}."""
-        return cls(order, (subset_mask((element,), order),) * (order * order))
+        # lazy, so that __init__ checks the order before the element
+        cells = (subset_mask((element,), order) for _ in range(order * order))
+        return cls(order, cells)
 
     @classmethod
     def left_zero(cls, order: int) -> HyperOp:
         """cell(x, y) = {x}."""
-        return cls(order, tuple(1 << x for x in range(order) for _ in range(order)))
+        return cls(order, (1 << x for x in range(order) for _ in range(order)))
 
     @classmethod
     def right_zero(cls, order: int) -> HyperOp:
         """cell(x, y) = {y}."""
-        return cls(order, tuple(1 << y for _ in range(order) for y in range(order)))
+        return cls(order, (1 << y for _ in range(order) for y in range(order)))
 
     @classmethod
     def full(cls, order: int) -> HyperOp:
         """Every cell is the whole carrier."""
-        return cls(order, (full_mask(order),) * (order * order))
+        return cls(order, (full_mask(order) for _ in range(order * order)))
 
     def hyper_product(self, a: int, b: int) -> int:
         """The table cell a o b, as a nonempty subset mask."""

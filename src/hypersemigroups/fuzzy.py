@@ -87,8 +87,8 @@ class FuzzySubset:
         """Pointwise minimum (the lattice meet on [0,1]^H)."""
         if self.order != other.order:
             raise CarrierMismatchError("fuzzy subsets over different carriers")
-        return FuzzySubset(
-            a if a <= b else b for a, b in zip(self.values, other.values)
+        return FuzzySubset._trusted(
+            tuple(a if a <= b else b for a, b in zip(self.values, other.values))
         )
 
     def support_mask(self) -> int:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -16,7 +18,6 @@ from hypersemigroups import (
     RegularityClass,
     Witness,
     classify,
-    element_membership,
     full_mask,
     fuzzy_inequality_holds,
     is_class_elementwise,
@@ -27,10 +28,9 @@ from hypersemigroups import (
     random_hypergroupoid,
     serialize_table,
     verify_theorems,
-    verify_witness,
 )
 
-from .oracles import CLASS_ORACLES, table_view
+from .oracles import CLASS_ORACLES, set_product_oracle, table_view
 from .util import (
     NON_ASSOCIATIVE_2,
     class_key,
@@ -198,17 +198,26 @@ def test_routes_agree_off_associativity(order2_tables, monkeypatch):
                     )
 
 
-def test_element_membership_arity_checked():
-    h = HyperOp.left_zero(2)
-    with pytest.raises(ValueError):
-        element_membership(h, RegularityClass.REGULAR, 0, (0, 1))
-
-
 def test_witness_search_is_lexicographic():
     h = HyperOp.left_zero(2)
     _, witnesses = is_class_elementwise(h, RegularityClass.REGULAR)
     # x = 0 already works for both elements, so first-hit wins
     assert [w.elements for w in witnesses] == [(0,), (0,)]
+
+
+def _oracle_witness_tuples(h, cls, a):
+    # every witness tuple for element a, in lexicographic order, with the
+    # class template evaluated in the oracle's own set product
+    cells = table_view(h)
+    template = TEMPLATES[cls]
+    arity = template.__code__.co_argcount - 2
+    return [
+        ws
+        for ws in itertools.product(range(h.order), repeat=arity)
+        if a in template(
+            lambda A, B: set_product_oracle(cells, A, B), {a}, *({x} for x in ws)
+        )
+    ]
 
 
 def test_stored_witnesses_reverify():
@@ -217,40 +226,57 @@ def test_stored_witnesses_reverify():
         report = classify(h)
         for cr in report.classes.values():
             for w in cr.witnesses:
-                assert verify_witness(h, w)
+                found = _oracle_witness_tuples(h, w.cls, w.element)
+                # either route holds at an element exactly when it has a
+                # witness, and the elementwise search keeps the first one
+                assert bool(found) == w.holds, w
+                if w.holds and w.route == "elementwise":
+                    assert w.elements == found[0], w
+                if not w.holds and w.route == "fuzzy":
+                    assert w.fuzzy_subset == point(h.order, w.element)
 
 
-def test_fuzzy_witness_reverifies_only_at_its_own_indicator():
-    h = HyperOp.constant(2)
-    cls = RegularityClass.REGULAR
-    failing = Witness(cls, 1, "fuzzy", False, fuzzy_subset=point(2, 1))
-    assert verify_witness(h, failing)
-    # the inequality holds at the zero subset and at the other point, so a
-    # failure recorded there is forged
-    for forged in (FuzzySubset([0, 0]), point(2, 0)):
-        assert not verify_witness(
-            h, Witness(cls, 1, "fuzzy", False, fuzzy_subset=forged)
-        )
-    assert not verify_witness(h, Witness(cls, 1, "fuzzy", True))
-
-
-def test_elementwise_failure_witness_reverifies_only_without_a_witness():
+def test_elementwise_failure_witness_records_only_the_element():
     cls = RegularityClass.REGULAR
     failing = is_class_elementwise(HyperOp.constant(2), cls)[1]
     assert failing == [Witness(cls, 1, "elementwise", False)]
-    assert verify_witness(HyperOp.constant(2), failing[0])
-    # element 0 of the constant table and every element of the left-zero
-    # table do have a witness, so a failure recorded there is forged
-    assert not verify_witness(
-        HyperOp.constant(2), Witness(cls, 0, "elementwise", False)
-    )
-    assert not verify_witness(HyperOp.left_zero(2), failing[0])
 
 
-def test_verify_witness_refuses_an_unknown_route():
-    w = Witness(RegularityClass.REGULAR, 0, "subset-1", True)
-    with pytest.raises(ValueError, match="unknown witness route 'subset-1'"):
-        verify_witness(HyperOp.left_zero(2), w)
+def test_failing_routes_name_the_same_element(order2_hypersemigroups):
+    for h in order2_hypersemigroups + o3_pool_failing():
+        for cr in classify(h).classes.values():
+            if cr.verdict:
+                continue
+            failing = sorted(
+                (w.route, w.element) for w in cr.witnesses if not w.holds
+            )
+            assert [route for route, _ in failing] == ["elementwise", "fuzzy"]
+            assert failing[0][1] == failing[1][1], (cr.cls, serialize_table(h))
+
+
+def test_verify_refuses_failures_at_different_elements(monkeypatch):
+    # element 0 of the constant table does have a regular witness, so a
+    # report whose elementwise failure names it must not pass
+    module = importlib.import_module("hypersemigroups.classify")
+    honest = module.classify
+
+    def tampered(h):
+        report = honest(h)
+        cr = report.classes[RegularityClass.REGULAR]
+        cr.witnesses = tuple(
+            dataclasses.replace(w, element=0)
+            if w.route == "elementwise" and not w.holds
+            else w
+            for w in cr.witnesses
+        )
+        return report
+
+    monkeypatch.setattr(module, "classify", tampered)
+    report = verify_theorems(HyperOp.constant(2), random_trials=0)
+    check = report.checks[CLASS_ORDER.index(RegularityClass.REGULAR)]
+    assert check.failure_reverified is False
+    assert check.passed is False
+    assert report.to_dict()["passed"] is False
 
 
 def test_elementwise_matches_oracle_on_random_tables():

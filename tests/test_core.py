@@ -1,15 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersemigroups import (
     HyperOp,
-    RegularityClass,
-    Witness,
-    element_membership,
+    MAX_ORDER,
     full_mask,
     mask_elements,
     parse_table,
@@ -17,7 +16,6 @@ from hypersemigroups import (
     random_hypergroupoid,
     serialize_table,
     subset_mask,
-    verify_witness,
 )
 
 from .oracles import assoc_oracle, set_product_oracle, table_view
@@ -44,10 +42,6 @@ def test_mask_elements_refuses_a_negative_mask():
             mask_elements(mask)
 
 
-def _witness(element, holds=True, elements=(0,), route="elementwise"):
-    return Witness(RegularityClass.REGULAR, element, route, holds, elements)
-
-
 # every public entry point that takes an element index, on a carrier of order 3
 LZ3 = HyperOp.left_zero(3)
 ELEMENT_ENTRY_POINTS = {
@@ -57,20 +51,6 @@ ELEMENT_ENTRY_POINTS = {
     "hyper_product-right": lambda e: LZ3.hyper_product(0, e),
     "pairs_containing": lambda e: LZ3.pairs_containing(e),
     "point": lambda e: point(3, e),
-    "element_membership-element": lambda e: element_membership(
-        LZ3, RegularityClass.REGULAR, e, (0,)
-    ),
-    "element_membership-witness": lambda e: element_membership(
-        LZ3, RegularityClass.SEMISIMPLE, 0, (0, e, 0)
-    ),
-    "verify_witness-holds": lambda e: verify_witness(LZ3, _witness(e)),
-    "verify_witness-fails": lambda e: verify_witness(LZ3, _witness(e, False, ())),
-    "verify_witness-witness": lambda e: verify_witness(
-        LZ3, _witness(0, True, (e,))
-    ),
-    "verify_witness-fuzzy": lambda e: verify_witness(
-        LZ3, _witness(e, False, (), "fuzzy")
-    ),
     # a table file cannot spell -1: that is a malformed index
     "parse_table": lambda e: parse_table(
         serialize_table(LZ3).replace("0 0: 0\n", f"0 0: {e}\n")
@@ -126,6 +106,18 @@ def test_constant_rejects_element_out_of_range():
     for element in (-1, 3):
         with pytest.raises(ValueError, match=f"element {element} out of range"):
             HyperOp.constant(3, element)
+
+
+def test_constructors_refuse_a_bad_order_before_building_cells():
+    refusal = f"^order must be between 1 and {MAX_ORDER}, got "
+    builders = (HyperOp.constant, HyperOp.left_zero, HyperOp.right_zero, HyperOp.full)
+    for build in builders:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=refusal + "1000000$"):
+            build(10**6)
+        assert time.perf_counter() - start < 0.1, build.__name__
+    with pytest.raises(ValueError, match=refusal + "0$"):
+        HyperOp.constant(0, 0)
 
 
 def test_equality_and_hash():
