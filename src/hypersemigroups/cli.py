@@ -6,10 +6,9 @@ disagreements, 2 input/usage error (any ``ValueError``: parse failures and
 every argument the library refuses), 3 the input table is not a
 hypersemigroup where one is required, 4 an unexpected internal error, 141
 (128 + SIGPIPE) stdout was closed early, e.g. by ``| head``, and nothing is
-printed.  All diagnostics go to stderr.  Table files allow order 16, but
-``classify`` and ``verify`` stop at 12: subset-2 walks all 2^n - 1 subsets.
-``--f`` and ``--g`` take ``p/q``, integers or plain decimals, not exponent
-notation.
+printed.  All diagnostics go to stderr.  A table file over
+``MAX_TABLE_BYTES`` bytes is refused.  ``--f`` and ``--g`` take ``p/q``,
+integers or plain decimals in ASCII digits, not exponent notation.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ EXIT_INPUT = 2
 EXIT_NOT_ASSOCIATIVE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
+MAX_TABLE_BYTES = 1 << 20  # a canonical order-16 table is about 12 KB
 
 
 def _fail(message: str, code: int) -> int:
@@ -50,9 +50,11 @@ def _fail(message: str, code: int) -> int:
 def _load_table(path: str) -> HyperOp:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read(MAX_TABLE_BYTES + 1)
     except OSError as exc:
         raise ValueError(str(exc)) from None
+    if len(data) > MAX_TABLE_BYTES:
+        raise ValueError(f"table file is over {MAX_TABLE_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -19,9 +19,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 MAX_DENOMINATOR = 16  # bound on random_fuzzy_subset's denominators
 
-# p/q with a nonzero q, an integer or a plain decimal such as "0.5"; no
-# exponent, because Fraction("1e-99999999") computes 10**99999999
-_DEGREE_TEXT = re.compile(r"\s*[+-]?(\d+(/0*[1-9]\d*)?|\d*\.\d+|\d+\.)\s*")
+# p/q with q > 0, an integer or a plain decimal such as "0.5", in ASCII
+# digits; no exponent: Fraction("1e-99999999") computes 10**99999999
+_DEGREE_TEXT = re.compile(
+    r"\s*[+-]?([0-9]+(/0*[1-9][0-9]*)?|[0-9]*\.[0-9]+|[0-9]+\.)\s*"
+)
 
 
 class FuzzySubset:

@@ -29,6 +29,7 @@ from hypersemigroups import (
     serialize_table,
     verify_theorems,
 )
+from hypersemigroups.cli import main
 
 from .oracles import CLASS_ORACLES, set_product_oracle, table_view
 from .util import (
@@ -110,9 +111,12 @@ def test_subsetdef_variant_validation():
     h = HyperOp.left_zero(2)
     with pytest.raises(ValueError):
         is_class_subsetdef(h, RegularityClass.REGULAR, 3)
-    big = HyperOp.full(13)
-    with pytest.raises(ValueError, match="cap"):
-        is_class_subsetdef(big, RegularityClass.REGULAR, 2)
+    # subset-2 walks all 2^13 - 1 subsets: order 13 is decided like any other
+    for big, key in ((HyperOp.full(13), "11111"), (HyperOp.constant(13), "00000")):
+        assert is_class_subsetdef(big, RegularityClass.REGULAR, 2) is (key == "11111")
+        report = classify(big)
+        assert report.combination_key() == key
+        assert report.all_routes_agree
 
 
 def test_constant_table_fuzzy_failure_value():
@@ -277,6 +281,61 @@ def test_verify_refuses_failures_at_different_elements(monkeypatch):
     assert check.failure_reverified is False
     assert check.passed is False
     assert report.to_dict()["passed"] is False
+
+
+def test_verify_refuses_a_fuzzy_failure_off_its_indicator(monkeypatch):
+    # the fuzzy failure at element 1 of the constant table is recorded at
+    # point(2, 1); a report carrying another subset there must not pass
+    module = importlib.import_module("hypersemigroups.classify")
+    honest = module.classify
+
+    def tampered(h):
+        report = honest(h)
+        cr = report.classes[RegularityClass.REGULAR]
+        cr.witnesses = tuple(
+            dataclasses.replace(w, fuzzy_subset=FuzzySubset([0, 0]))
+            if w.route == "fuzzy"
+            else w
+            for w in cr.witnesses
+        )
+        return report
+
+    monkeypatch.setattr(module, "classify", tampered)
+    report = verify_theorems(HyperOp.constant(2), random_trials=0)
+    check = report.checks[CLASS_ORDER.index(RegularityClass.REGULAR)]
+    assert check.failure_reverified is False
+    assert check.passed is False
+    assert report.to_dict()["passed"] is False
+
+
+def test_verify_records_the_first_sampled_counterexample(monkeypatch, tmp_path):
+    # the indicators decide the classes, so failing every other f leaves
+    # classify alone and makes each sampled trial a counterexample
+    module = importlib.import_module("hypersemigroups.classify")
+    honest = module.fuzzy_inequality_holds
+    h = HyperOp.left_zero(2)
+    points = {point(2, a) for a in range(2)}
+    seen = {}
+
+    def failing_off_indicators(h, cls, f):
+        if f in points:
+            return honest(h, cls, f)
+        seen.setdefault(cls, f)
+        return False
+
+    monkeypatch.setattr(module, "fuzzy_inequality_holds", failing_off_indicators)
+    report = verify_theorems(h, random_trials=3)
+    assert [c.verdict for c in report.checks] == [True] * 5
+    assert set(seen) == set(CLASS_ORDER)
+    for check, data in zip(report.checks, report.to_dict()["checks"]):
+        assert check.counterexample == seen[check.cls]
+        assert check.passed is False
+        assert data["counterexample"] == [str(v) for v in seen[check.cls].values]
+        assert data["passed"] is False
+    assert report.to_dict()["passed"] is False
+    path = tmp_path / "left_zero.txt"
+    path.write_text(serialize_table(h), encoding="utf-8")
+    assert main(["verify", str(path), "--trials", "3"]) == 1
 
 
 def test_elementwise_matches_oracle_on_random_tables():

@@ -66,18 +66,38 @@ def test_classify_non_utf8_file_exits_2(tmp_path, capsys):
     assert main(["ideals", str(bad), "--f", "1"]) == 2
 
 
+def test_table_file_over_the_read_limit_exits_2(tmp_path, capsys):
+    limit = 1 << 20
+    table = serialize_table(HyperOp.left_zero(2)).encode()
+    path = tmp_path / "padded.txt"
+    # blank lines after the last cell parse; only the size is refused
+    path.write_bytes(table + b"\n" * (limit - len(table)))
+    assert main(["classify", path.as_posix()]) == 0
+    capsys.readouterr()
+    path.write_bytes(table + b"\n" * (limit + 1 - len(table)))
+    for command in ("classify", "verify"):
+        assert main([command, path.as_posix()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: table file is over 1048576 bytes\n"
+
+
 def test_classify_order_above_cap_exits_2(tmp_path, table_file, capsys):
     bad = tmp_path / "big.txt"
     bad.write_text("hypertable v1\norder: 17\n0 0: 0\n", encoding="utf-8")
     assert main(["classify", str(bad)]) == 2
     assert "line 2: order must be between 1 and 16, got 17" in capsys.readouterr().err
-    # a valid table file, but subset-2 stops at order 12
-    path = table_file(HyperOp.constant(13))
-    for command in ("classify", "verify"):
-        assert main([command, path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: variant 2 walks 2^13 subsets; cap is order 12\n"
+    # order 16 is the one cap: every command decides order 13
+    for h in (HyperOp.full(13), HyperOp.constant(13)):
+        path = table_file(h)
+        for argv, last in (
+            (["classify", path], "all routes agree: yes"),
+            (["verify", path, "--trials", "2"], "result: pass"),
+        ):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out.splitlines()[-1] == last
 
 
 def test_classify_non_associative_exits_3(table_file, capsys):
@@ -135,6 +155,35 @@ def test_verify_exit_1_when_a_counterexample_is_reported(
     monkeypatch.setattr(cli_mod, "verify_theorems", lambda *a, **k: failing)
     assert main(["verify", table_file(HyperOp.left_zero(2))]) == 1
     assert "result: FAIL" in capsys.readouterr().out
+
+
+def test_verify_names_a_failure_that_did_not_reverify(
+    table_file, monkeypatch, capsys
+):
+    import hypersemigroups.cli as cli_mod
+    from hypersemigroups import RegularityClass
+    from hypersemigroups.classify import TheoremCheck, VerificationReport
+
+    failing = VerificationReport(
+        order=2,
+        checks=(
+            TheoremCheck(
+                cls=RegularityClass.REGULAR,
+                routes_agree=True,
+                verdict=False,
+                trials=0,
+                failure_reverified=False,
+            ),
+        ),
+    )
+    monkeypatch.setattr(cli_mod, "verify_theorems", lambda *a, **k: failing)
+    assert main(["verify", table_file(HyperOp.constant(2))]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "order: 2",
+        "regular: verdict=no routes_agree=yes trials=0"
+        " failure-witness-did-not-reverify",
+        "result: FAIL",
+    ]
 
 
 def test_census_exit_1_when_routes_disagree(monkeypatch, capsys):
@@ -247,6 +296,20 @@ def test_compose_rejects_wrong_arity_and_bad_values(table_file, capsys):
     assert captured.err.splitlines()[-1].startswith(
         "error: membership degree '1e-5000' is not p/q"
     )
+
+
+def test_degrees_in_other_scripts_digits_exit_2(table_file, capsys):
+    path = table_file(HyperOp.full(2))
+    assert main(["compose", path, "--f", "1/2,1", "--g", "0,\u0967"]) == 2
+    assert main(["ideals", path, "--f", "\u0660.\u0665,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: membership degree '\u0967' is not p/q with q > 0, "
+        "an integer or a plain decimal",
+        "error: membership degree '\u0660.\u0665' is not p/q with q > 0, "
+        "an integer or a plain decimal",
+    ]
 
 
 def test_ideals_output(table_file, capsys):

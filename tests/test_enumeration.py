@@ -142,6 +142,29 @@ def test_census_sampled_counts_and_determinism():
     assert c.render() != a.render()  # seed participates in the report header
 
 
+def test_census_report_refuses_inconsistent_counts():
+    from hypersemigroups.enumeration import CensusReport
+
+    def report(class_count, combinations):
+        return CensusReport(
+            order=2,
+            mode="exhaustive",
+            tables_seen=81,
+            hypersemigroups=30,
+            class_counts={"regular": class_count},
+            combination_counts=combinations,
+            route_disagreements=0,
+        )
+
+    report(30, {"11111": 28, "00000": 2}).validate()
+    with pytest.raises(ValueError, match="^class count regular exceeds hypersemigroup"):
+        report(31, {"11111": 30}).validate()
+    with pytest.raises(
+        ValueError, match="^combination counts do not sum to hypersemigroup total$"
+    ):
+        report(30, {"11111": 29}).validate()
+
+
 def test_census_sample_zero():
     report = census(2, sample=0, seed=0)
     assert report.tables_seen == 0

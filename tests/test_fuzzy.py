@@ -61,6 +61,13 @@ def test_fuzzy_subset_degree_strings():
     )
 
 
+def test_fuzzy_subset_degree_strings_take_ascii_digits_only():
+    # Devanagari one and Arabic-Indic zero point five
+    for bad in ("\u0967", "\u0660.\u0665", "\u0967/\u0968"):
+        with pytest.raises(ValueError, match=re.escape(f"degree {bad!r} is not p/q")):
+            FuzzySubset([bad])
+
+
 def test_fuzzy_subset_rejects_float_and_bool():
     for bad in ([0.1, True], [0.5], [True], [1, False]):
         with pytest.raises(TypeError, match="use an int, a Fraction or a string"):
