@@ -4,11 +4,13 @@ Exit codes, mapped from exceptions in ``main`` alone: 0 clean run, 1 a
 verification found a counterexample or a census recorded route
 disagreements, 2 input/usage error (any ``ValueError``: parse failures and
 every argument the library refuses), 3 the input table is not a
-hypersemigroup where one is required, 4 an unexpected internal error, 141
-(128 + SIGPIPE) stdout was closed early, e.g. by ``| head``, and nothing is
-printed.  All diagnostics go to stderr.  A table file over
-``MAX_TABLE_BYTES`` bytes is refused.  ``--f`` and ``--g`` take ``p/q``,
-integers or plain decimals in ASCII digits, not exponent notation.
+hypersemigroup where one is required, 4 an unexpected internal error, 130
+(128 + SIGINT) the run was interrupted, e.g. by Ctrl-C, with one
+``error: interrupted`` line, 141 (128 + SIGPIPE) stdout was closed early,
+e.g. by ``| head``, and nothing is printed.  All diagnostics go to stderr.
+A table file over ``MAX_TABLE_BYTES`` bytes is refused.  ``--f`` and
+``--g`` take ``p/q``, integers or plain decimals in ASCII digits, not
+exponent notation.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ EXIT_FOUND = 1
 EXIT_INPUT = 2
 EXIT_NOT_ASSOCIATIVE = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # what a shell reports for a run stopped by SIGINT
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 MAX_TABLE_BYTES = 1 << 20  # a canonical order-16 table is about 12 KB
 
@@ -227,6 +230,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        return _fail("interrupted", EXIT_INTERRUPTED)
     except NotAssociativeError:
         return _fail("input table is not a hypersemigroup", EXIT_NOT_ASSOCIATIVE)
     except ValueError as exc:

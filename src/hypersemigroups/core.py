@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-# Subsets are machine-word bitmasks; everything desk-scale is n <= 4.
+# Subsets are n-bit int masks; exhaustive censuses stop at order 3.
 MAX_ORDER = 16
 
 

@@ -36,6 +36,8 @@ class FuzzySubset:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[Fraction | int | str]):
+        if isinstance(values, (str, bytes)):  # not one degree per character
+            raise TypeError(f"degrees must be a sequence, not a {type(values).__name__}")
         vals = []
         for v in values:
             if isinstance(v, str) and not _DEGREE_TEXT.fullmatch(v):

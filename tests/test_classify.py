@@ -107,6 +107,26 @@ def test_subset_variants_agree_on_all_order2(order2_hypersemigroups):
             assert is_class_subsetdef(h, cls, 1) == is_class_subsetdef(h, cls, 2)
 
 
+def test_subset2_walks_every_nonempty_mask():
+    # subset-2's verdict always equals subset-1's, so only the walk itself
+    # tells the variants apart. On a left zero table A * B = A, so products
+    # of singletons stay singletons or the whole carrier: every other mask
+    # reaches set_product only as the walk's own subset.
+    class RecordingHyperOp(HyperOp):
+        def set_product(self, a_mask, b_mask):
+            operands.update((a_mask, b_mask))
+            return super().set_product(a_mask, b_mask)
+
+    h = RecordingHyperOp(3, HyperOp.left_zero(3).cells)
+    for cls in CLASS_ORDER:
+        operands = set()
+        assert is_class_subsetdef(h, cls, 2)
+        assert operands == set(range(1, 2**3))
+        operands = set()
+        assert is_class_subsetdef(h, cls, 1)
+        assert operands == {1, 2, 4, 7}
+
+
 def test_subsetdef_variant_validation():
     h = HyperOp.left_zero(2)
     with pytest.raises(ValueError):

@@ -223,6 +223,23 @@ def test_unexpected_error_exits_4_with_one_error_line(
     assert lines[0].startswith("error: internal error: ZeroDivisionError: boom")
 
 
+def test_interrupt_exits_130_with_one_error_line(monkeypatch, capsys):
+    import hypersemigroups.cli as cli_mod
+
+    def interrupted(order, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_mod, "census", interrupted)
+    try:
+        code = main(["census", "--order", "3", "--exhaustive", "--jobs", "2"])
+    except KeyboardInterrupt:  # escaping main would stop pytest itself
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert code == cli_mod.EXIT_INTERRUPTED == 130
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: interrupted"]
+
+
 def test_census_progress_goes_to_stderr_only(monkeypatch, capsys):
     import hypersemigroups.cli as cli_mod
 

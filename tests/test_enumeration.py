@@ -213,36 +213,91 @@ def test_census_pool_capped_by_partitions_and_cores(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
     exhaustive = census(2, exhaustive=True).render()
     sampled = census(3, sample=40, seed="cap").render()
+    few = census(3, sample=3, seed="cap").render()
     assert sizes == []
-    # order 2 has 3 partitions; a sample is split into one range per core
+    # order 2 has 9 partitions and a 40-draw sample 16, so 4 cores cap
+    # both; a 3-draw sample has 3 partitions, which cap the pool instead
     assert census(2, exhaustive=True, jobs=10**6).render() == exhaustive
     assert census(3, sample=40, seed="cap", jobs=10**6).render() == sampled
+    assert census(3, sample=3, seed="cap", jobs=8).render() == few
     assert census(2, exhaustive=True, jobs=2).render() == exhaustive
-    assert sizes == [3, 4, 2]
+    assert sizes == [4, 4, 3, 2]
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
     assert census(2, exhaustive=True, jobs=8).render() == exhaustive
     assert census(2, sample=0, jobs=8).tables_seen == 0
-    assert sizes == [3, 4, 2]
+    assert sizes == [4, 4, 3, 2]
+
+
+def _recording_worker(seen):
+    def stub_worker(args):
+        # records the partition's key (prefix or index range) and size
+        # instead of streaming its tables
+        _, size, tables = args
+        seen.append((tables.args[-1], size))
+        return size, Counter()
+
+    return stub_worker
 
 
 def test_sampled_partitions_bounded_by_workers_not_jobs(monkeypatch):
-    sizes, ranges = [], []
-
-    def stub_worker(args):
-        # records the partition's index range instead of drawing its tables
-        _, size, tables = args
-        indices = tables.args[-1]
-        ranges.append((indices.start, indices.stop))
-        return size, Counter()
-
+    sizes, seen = [], []
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", _recording_pool(sizes))
+    monkeypatch.setattr(enumeration, "_census_part", _recording_worker(seen))
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(enumeration, "_census_part", stub_worker)
     report = census(3, sample=10**5, jobs=10**5)
     assert sizes == [2]
-    assert ranges == [(0, 50_000), (50_000, 100_000)]
+    expected = [(range(i * 6250, (i + 1) * 6250), 6250) for i in range(16)]
+    assert seen == expected
     assert report.tables_seen == 100_000
     assert report.hypersemigroups == 0
+    # neither the cores nor jobs move a partition
+    seen.clear()
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+    census(3, sample=10**5, jobs=1)
+    assert seen == expected
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_exhaustive_partitions_join_to_the_odometer(order, monkeypatch):
+    streams = []
+
+    def streaming_worker(args):
+        _, size, tables = args
+        cells = list(tables())
+        assert len(cells) == size
+        streams.extend(cells)
+        return size, Counter()
+
+    monkeypatch.setattr(enumeration, "_census_part", streaming_worker)
+    census(order, exhaustive=True)
+    assert streams == list(enumeration._odometer(order))
+    assert len(streams) == hypergroupoid_count(order)
+
+
+def test_order3_partitions_are_the_49_two_cell_prefixes(monkeypatch):
+    seen = []
+    monkeypatch.setattr(enumeration, "_census_part", _recording_worker(seen))
+    report = census(3, exhaustive=True, allow_large=True)
+    prefixes = [(a, b) for a in range(1, 8) for b in range(1, 8)]
+    assert seen == [(prefix, 7**7) for prefix in prefixes]
+    assert report.tables_seen == 7**9
+
+
+@pytest.mark.parametrize("sample", [0, 1, 15, 16, 17, 10**5, 10**12])
+def test_sample_ranges_cover_the_sample_in_order(sample, monkeypatch):
+    seen = []
+    monkeypatch.setattr(enumeration, "_census_part", _recording_worker(seen))
+    report = census(3, sample=sample)
+    ranges = [r for r, _ in seen]
+    assert len(ranges) == min(sample, 16)
+    # ranges, not lists, so 10^12 draws make 16 small objects
+    bounds = [0] + [r.stop for r in ranges]
+    assert ranges == [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert bounds[-1] == sample
+    assert max(map(len, ranges), default=1) - min(map(len, ranges), default=1) <= 1
+    assert [size for _, size in seen] == list(map(len, ranges))
+    assert report.tables_seen == sample
 
 
 def test_census_builds_a_hyperop_only_for_hypersemigroups(monkeypatch):

@@ -68,6 +68,14 @@ def test_fuzzy_subset_degree_strings_take_ascii_digits_only():
             FuzzySubset([bad])
 
 
+def test_fuzzy_subset_refuses_a_bare_string_or_bytes():
+    # each would otherwise be read one character or byte per degree
+    for bad, kind in (("10", "str"), (b"\x00\x01", "bytes"), ("0.5", "str")):
+        with pytest.raises(TypeError, match=f"must be a sequence, not a {kind}$"):
+            FuzzySubset(bad)
+    assert FuzzySubset(("1", "0")) == FuzzySubset(["1", "0"]) == FuzzySubset([1, 0])
+
+
 def test_fuzzy_subset_rejects_float_and_bool():
     for bad in ([0.1, True], [0.5], [True], [1, False]):
         with pytest.raises(TypeError, match="use an int, a Fraction or a string"):
