@@ -332,8 +332,9 @@ def verify_theorems(
         cr = report.classes[cls]
         counterexample = None
         failure_reverified = True
+        trials = 0  # trials run; a counterexample at trial k stops at k
         if cr.verdict:
-            for _ in range(random_trials):
+            for trials in range(1, random_trials + 1):
                 f = random_fuzzy_subset(h.order, rng)
                 if not fuzzy_inequality_holds(h, cls, f):
                     counterexample = f
@@ -349,7 +350,7 @@ def verify_theorems(
                 cls=cls,
                 routes_agree=cr.routes_agree,
                 verdict=cr.verdict,
-                trials=random_trials if cr.verdict else 0,
+                trials=trials,
                 counterexample=counterexample,
                 failure_reverified=failure_reverified,
             )

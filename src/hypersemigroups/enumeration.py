@@ -196,7 +196,8 @@ def census(
     seen = 0
     outcomes = Counter()
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        # map preserves partition order, keeping the merge deterministic
+        # the Counter sum does not depend on partition order; map keeps the
+        # progress lines in partition order
         for part_seen, part in (pool.map if pool else map)(_census_part, parts):
             seen += part_seen
             outcomes += part

@@ -3,6 +3,7 @@
 All membership degrees are exact rationals.  The composition only ever
 takes minima and maxima of its inputs (and 0), so the value set is closed
 and every comparison in the library is exact; no tolerances exist anywhere.
+It runs on level bitmasks, where min is ``&`` and max is ``|``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Any, Callable, Iterable, Sequence
 
-from .core import CarrierMismatchError, HyperOp, check_element
+from .core import CarrierMismatchError, HyperOp, check_element, check_order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -106,11 +107,13 @@ class FuzzySubset:
 
 def one(order: int) -> FuzzySubset:
     """The constant-1 fuzzy subset, the greatest element of the order."""
+    check_order(order)
     return FuzzySubset._trusted((ONE,) * order)
 
 
 def point(order: int, a: int) -> FuzzySubset:
     """The indicator of {a}: degree 1 at a, 0 elsewhere."""
+    check_order(order)
     check_element(a, order)
     return FuzzySubset._trusted(tuple(ONE if x == a else ZERO for x in range(order)))
 
@@ -123,27 +126,26 @@ def _evaluate(
     h: HyperOp, factors: Sequence[FuzzySubset], brackets: Callable[..., Any]
 ) -> FuzzySubset:
     # composition only takes minima and maxima, so it commutes with any
-    # order-preserving relabelling: run it on the ranks of the input values
-    # (and 0) and map the ranked result back to those values once
+    # order-preserving relabelling: code the i-th smallest input value (0
+    # first) as the mask of its i low bits, where min is & and max is |, and
+    # decode each result once by its bit length
     if any(f.order != h.order for f in factors):
         raise CarrierMismatchError("fuzzy subset carrier does not match the table")
     levels = sorted({ZERO}.union(*(f.values for f in factors)))
-    rank = {v: i for i, v in enumerate(levels)}
+    code = {v: (1 << i) - 1 for i, v in enumerate(levels)}
     cells = [h.pairs_containing(a) for a in range(h.order)]
 
-    def product(fr: list[int], gr: list[int]) -> list[int]:
+    def product(fc: list[int], gc: list[int]) -> list[int]:
         out = []
         for pairs in cells:
             best = 0
             for y, z in pairs:
-                v = fr[y] if fr[y] <= gr[z] else gr[z]
-                if v > best:
-                    best = v
+                best |= fc[y] & gc[z]
             out.append(best)
         return out
 
-    ranked = brackets(product, *([rank[v] for v in f.values] for f in factors))
-    return FuzzySubset._trusted(tuple(levels[r] for r in ranked))
+    coded = brackets(product, *([code[v] for v in f.values] for f in factors))
+    return FuzzySubset._trusted(tuple(levels[c.bit_length()] for c in coded))
 
 
 def compose(h: HyperOp, f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
@@ -178,6 +180,7 @@ def random_fuzzy_subset(order: int, rng: random.Random) -> FuzzySubset:
     Value closure under min/max means the bound loses no generality class
     while keeping exact arithmetic cheap.
     """
+    check_order(order)
     out = []
     for _ in range(order):
         q = rng.randint(1, MAX_DENOMINATOR)

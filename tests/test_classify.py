@@ -328,7 +328,7 @@ def test_verify_refuses_a_fuzzy_failure_off_its_indicator(monkeypatch):
     assert report.to_dict()["passed"] is False
 
 
-def test_verify_records_the_first_sampled_counterexample(monkeypatch, tmp_path):
+def test_verify_records_the_first_sampled_counterexample(monkeypatch, tmp_path, capsys):
     # the indicators decide the classes, so failing every other f leaves
     # classify alone and makes each sampled trial a counterexample
     module = importlib.import_module("hypersemigroups.classify")
@@ -350,12 +350,18 @@ def test_verify_records_the_first_sampled_counterexample(monkeypatch, tmp_path):
     for check, data in zip(report.checks, report.to_dict()["checks"]):
         assert check.counterexample == seen[check.cls]
         assert check.passed is False
+        # the first trial fails, so it is the only one run
+        assert check.trials == 1
         assert data["counterexample"] == [str(v) for v in seen[check.cls].values]
+        assert data["trials"] == 1
         assert data["passed"] is False
     assert report.to_dict()["passed"] is False
     path = tmp_path / "left_zero.txt"
     path.write_text(serialize_table(h), encoding="utf-8")
+    capsys.readouterr()
     assert main(["verify", str(path), "--trials", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and all(" trials=1 " in line for line in lines[1:-1])
 
 
 def test_elementwise_matches_oracle_on_random_tables():

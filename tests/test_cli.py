@@ -256,6 +256,16 @@ def test_census_progress_goes_to_stderr_only(monkeypatch, capsys):
     assert captured.err == "census progress: 3/7 tables\n"
 
 
+def test_census_sampled_prints_progress_per_range(capsys):
+    assert main(["census", "--order", "3", "--sample", "32", "--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == hypersemigroups.census(3, sample=32, seed=1).render()
+    lines = captured.err.splitlines()
+    assert len(lines) == 16
+    assert all(line.startswith("census progress: ") for line in lines)
+    assert lines[-1].endswith(" 32/32 tables")
+
+
 @pytest.mark.parametrize("order", ["0", "99"])
 def test_census_sampled_impossible_order_exits_2(order, capsys):
     assert main(["census", "--order", order, "--sample", "0"]) == 2
@@ -276,7 +286,8 @@ def test_census_order0_same_error_in_both_modes(capsys):
 
 def test_census_order2_exhaustive(capsys):
     assert main(["census", "--order", "2", "--exhaustive"]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == ""  # too quick to need progress
     assert "tables seen: 81" in out
     assert "hypersemigroups: 30" in out
     assert "route disagreements: 0" in out

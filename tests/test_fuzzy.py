@@ -147,7 +147,7 @@ def test_compose_chain_association_irrelevant_on_hypersemigroups():
 
 
 def test_compose_maps_equal_degrees_held_as_distinct_objects():
-    # equal degrees from separate Fraction objects share one rank
+    # equal degrees from separate Fraction objects share one level
     f = FuzzySubset([Fraction(1, 2), Fraction(2, 4), Fraction(1, 3)])
     g = FuzzySubset([Fraction(3, 6), Fraction(1, 3), Fraction(2, 6)])
     assert f[0] is not f[1] and f[0] is not g[0] and f[2] is not g[1]
@@ -207,6 +207,17 @@ def test_one_and_point():
         point(2, 2)
 
 
+@pytest.mark.parametrize("order", [0, -1, 17])
+def test_fuzzy_constructors_refuse_a_bad_order(order):
+    refusal = f"^order must be between 1 and 16, got {order}$"
+    with pytest.raises(ValueError, match=refusal):
+        one(order)
+    with pytest.raises(ValueError, match=refusal):
+        point(order, 0)
+    with pytest.raises(ValueError, match=refusal):
+        random_fuzzy_subset(order, random.Random(0))
+
+
 def test_meet_examples():
     f = FuzzySubset(["3/10", "7/10"])
     g = FuzzySubset(["5/10", "2/10"])
@@ -225,6 +236,35 @@ def test_point_bridge_identity_small_orders():
                 for b in range(order):
                     fa, fb = point(order, a), point(order, b)
                     assert compose(h, fa, fb).support_mask() == h.hyper_product(a, b)
+
+
+def _cyclic(n: int) -> HyperOp:
+    return HyperOp(n, [1 << (x + y) % n for x in range(n) for y in range(n)])
+
+
+@pytest.mark.parametrize(
+    "h",
+    [_cyclic(n) for n in (8, 16)] + [random_hypergroupoid(n, "wide") for n in (8, 16)],
+    ids=["cyclic-8", "cyclic-16", "random-8", "random-16"],
+)
+def test_compose_matches_oracle_on_wide_level_codes(h):
+    # five factors give each element its own degree k/997: 40 or 80 levels
+    # besides 0, dealt out in turn so that every factor holds a top one and
+    # the chain's codes run past 30 and 64 bits
+    n = h.order
+    rng = random.Random(f"wide:{n}")
+    degrees = [Fraction(k, 997) for k in sorted(rng.sample(range(1, 998), 5 * n))]
+    fs = [FuzzySubset(rng.sample(degrees[i::5], n)) for i in range(5)]
+    cells = table_view(h)
+
+    def oracle(u, v):
+        return compose_oracle(cells, n, u, v)
+
+    assert compose(h, fs[0], fs[1]).values == oracle(fs[0].values, fs[1].values)
+    chain = compose_chain(h, fs)
+    assert chain.values == reduce(oracle, [f.values for f in fs])
+    levels = sorted({Fraction(0), *degrees})
+    assert max(levels.index(v) for v in chain.values) > (30 if n == 8 else 64)
 
 
 @settings(deadline=None, max_examples=60)
