@@ -58,6 +58,7 @@ def _load_table(path: str) -> HyperOp:
         raise ValueError(str(exc)) from None
     if len(data) > MAX_TABLE_BYTES:
         raise ValueError(f"table file is over {MAX_TABLE_BYTES} bytes")
+    data = data.removeprefix(b"\xef\xbb\xbf")  # drop a UTF-8 byte-order mark
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

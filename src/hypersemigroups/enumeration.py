@@ -142,16 +142,17 @@ class CensusReport:
         }
 
 
-def _census_part(args) -> tuple[int, Counter]:
-    # one partition: `tables` streams its cell tuples, `size` counts them
+def _census_part(args) -> tuple[int, Counter, int]:
+    # one partition: `tables` streams its cell tuples, `size` counts them;
+    # returns the report's tallies: tables, combination keys, disagreements
     order, size, tables = args
-    outcomes = Counter()
+    combos, disagreements = Counter(), 0
     for cells in tables():
         if _associative(cells, order):
             report = classify(HyperOp(order, cells))
-            bad = sum(not cr.routes_agree for cr in report.classes.values())
-            outcomes[report.combination_key(), bad] += 1
-    return size, outcomes
+            combos[report.combination_key()] += 1
+            disagreements += sum(not cr.routes_agree for cr in report.classes.values())
+    return size, combos, disagreements
 
 
 def census(
@@ -192,21 +193,17 @@ def census(
     # more workers than cores or partitions would only sit idle
     workers = min(jobs, os.cpu_count() or 1, len(parts))
 
-    # each partition's outcomes: (combination key, disagreeing classes) -> tables
-    seen = 0
-    outcomes = Counter()
+    seen, combos, disagreements = 0, Counter(), 0
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        # the Counter sum does not depend on partition order; map keeps the
-        # progress lines in partition order
-        for part_seen, part in (pool.map if pool else map)(_census_part, parts):
-            seen += part_seen
-            outcomes += part
+        # the sums do not depend on partition order; map keeps the progress
+        # lines in partition order
+        for n, part_combos, bad in (pool.map if pool else map)(_census_part, parts):
+            seen += n
+            combos += part_combos
+            disagreements += bad
             if progress is not None:
                 progress(seen, total)
 
-    combos = Counter()
-    for (key, _), n in outcomes.items():
-        combos[key] += n
     report = CensusReport(
         order=order,
         mode="exhaustive" if exhaustive else "sampled",
@@ -217,7 +214,7 @@ def census(
             for i, cls in enumerate(CLASS_ORDER)
         },
         combination_counts=dict(sorted(combos.items())),
-        route_disagreements=sum(bad * n for (_, bad), n in outcomes.items()),
+        route_disagreements=disagreements,
         sample_count=None if exhaustive else sample,
         seed=None if exhaustive else str(seed),
     )

@@ -185,4 +185,4 @@ def random_fuzzy_subset(order: int, rng: random.Random) -> FuzzySubset:
     for _ in range(order):
         q = rng.randint(1, MAX_DENOMINATOR)
         out.append(Fraction(rng.randint(0, q), q))
-    return FuzzySubset(out)
+    return FuzzySubset._trusted(tuple(out))

@@ -87,6 +87,41 @@ MUTANTS = [
         "s_masks = singletons",
         ["tests/test_classify.py::test_subset2_walks_every_nonempty_mask"],
     ),
+    (
+        "a class report's routes always agree",
+        PKG + "classify.py",
+        "    def routes_agree(self) -> bool:\n        return (",
+        "    def routes_agree(self) -> bool:\n        return True or (",
+        ["tests/test_classify.py::test_a_flipped_route_is_a_disagreement"],
+    ),
+    (
+        "a classification's routes always agree",
+        PKG + "classify.py",
+        "return all(r.routes_agree for r in self.classes.values())",
+        "return True",
+        ["tests/test_classify.py::test_a_flipped_route_is_a_disagreement"],
+    ),
+    (
+        "verify records that the routes agree",
+        PKG + "classify.py",
+        "routes_agree=cr.routes_agree,",
+        "routes_agree=True,",
+        ["tests/test_classify.py::test_verify_fails_a_class_whose_routes_disagree"],
+    ),
+    (
+        "a theorem check passes whatever the routes say",
+        PKG + "classify.py",
+        "self.routes_agree\n            and self.counterexample is None",
+        "self.counterexample is None",
+        ["tests/test_classify.py::test_verify_fails_a_class_whose_routes_disagree"],
+    ),
+    (
+        "census counts no disagreement",
+        PKG + "enumeration.py",
+        "disagreements += sum(not cr.routes_agree for cr in report.classes.values())",
+        "disagreements += 0",
+        ["tests/test_enumeration.py::test_census_counts_every_disagreeing_class"],
+    ),
 ]
 
 # appended to the copy's conftest: the tests must import the copy's package

@@ -35,6 +35,7 @@ from .oracles import CLASS_ORACLES, set_product_oracle, table_view
 from .util import (
     NON_ASSOCIATIVE_2,
     class_key,
+    flipping_routes,
     o3_pool_failing,
     o3_pool_passing,
     random_hypersemigroup,
@@ -326,6 +327,45 @@ def test_verify_refuses_a_fuzzy_failure_off_its_indicator(monkeypatch):
     assert check.failure_reverified is False
     assert check.passed is False
     assert report.to_dict()["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "route", ["elementwise", "subset_singleton", "subset_all", "fuzzy"]
+)
+def test_a_flipped_route_is_a_disagreement(route):
+    report = classify(HyperOp.left_zero(2))
+    assert report.all_routes_agree
+    cr = report.classes[RegularityClass.REGULAR]
+    setattr(cr, route, not getattr(cr, route))
+    assert cr.routes_agree is False
+    assert report.all_routes_agree is False
+    data = report.to_dict()
+    assert data["all_routes_agree"] is False
+    assert [c["routes_agree"] for c in data["classes"]] == [False] + [True] * 4
+
+
+def test_verify_fails_a_class_whose_routes_disagree(monkeypatch, tmp_path, capsys):
+    # every class holds on the left zero table; flipping the fuzzy verdict
+    # of the first one leaves its elementwise verdict and trials alone
+    module = importlib.import_module("hypersemigroups.classify")
+    monkeypatch.setattr(module, "classify", flipping_routes(module.classify, 1))
+    h = HyperOp.left_zero(2)
+    report = verify_theorems(h, random_trials=5)
+    check, *rest = report.checks
+    assert check.cls is RegularityClass.REGULAR
+    assert check.verdict is True and check.trials == 5
+    assert check.routes_agree is False
+    assert check.passed is False
+    assert [c.passed for c in rest] == [True] * 4
+    assert report.passed is False
+    assert report.to_dict()["checks"][0]["routes_agree"] is False
+    assert report.to_dict()["passed"] is False
+    path = tmp_path / "left_zero.txt"
+    path.write_text(serialize_table(h), encoding="utf-8")
+    assert main(["verify", str(path), "--trials", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "regular: verdict=yes routes_agree=no trials=5"
+    assert lines[-1] == "result: FAIL"
 
 
 def test_verify_records_the_first_sampled_counterexample(monkeypatch, tmp_path, capsys):

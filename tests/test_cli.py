@@ -13,7 +13,7 @@ import hypersemigroups
 from hypersemigroups import HyperOp, serialize_table
 from hypersemigroups.cli import main
 
-from .util import NON_ASSOCIATIVE_2
+from .util import NON_ASSOCIATIVE_2, flipping_routes
 
 
 @pytest.fixture
@@ -64,6 +64,26 @@ def test_classify_non_utf8_file_exits_2(tmp_path, capsys):
         assert "line 3: not UTF-8 text" in capsys.readouterr().err
     assert main(["compose", str(bad), "--f", "1", "--g", "1"]) == 2
     assert main(["ideals", str(bad), "--f", "1"]) == 2
+
+
+def test_table_file_with_a_byte_order_mark_reads_as_the_plain_file(
+    tmp_path, table_file, capsys
+):
+    plain = table_file(HyperOp.left_zero(2))
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    outputs = []
+    for path in (plain, str(bom)):
+        for argv in (["classify", path], ["classify", path, "--json"]):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+    assert outputs[:2] == outputs[2:]
+    # the mark is not text: line numbers still count from the first line
+    bom.write_bytes(b"\xef\xbb\xbfhypertable v1\norder: 1\n0 0: 0 \xe9\n")
+    assert main(["classify", str(bom)]) == 2
+    assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
 
 
 def test_table_file_over_the_read_limit_exits_2(tmp_path, capsys):
@@ -203,6 +223,17 @@ def test_census_exit_1_when_routes_disagree(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "census", lambda *a, **k: disagreeing)
     assert main(["census", "--order", "2", "--exhaustive"]) == 1
     assert "route disagreements: 1" in capsys.readouterr().out
+
+
+def test_census_exit_1_when_every_table_disagrees(monkeypatch, capsys):
+    # the real census, with the fuzzy verdict of one class flipped per table
+    from hypersemigroups import enumeration
+
+    monkeypatch.setattr(enumeration, "classify", flipping_routes(enumeration.classify, 1))
+    assert main(["census", "--order", "2", "--exhaustive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "route disagreements: 30"
+    assert captured.err == ""
 
 
 def test_unexpected_error_exits_4_with_one_error_line(

@@ -16,6 +16,7 @@ from hypersemigroups import (
 )
 
 from .oracles import assoc_oracle, table_view
+from .util import flipping_routes
 
 
 def test_population_counts():
@@ -132,6 +133,20 @@ def test_census_order2_exhaustive(order2_tables):
     report.validate()
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_census_counts_every_disagreeing_class(k, monkeypatch):
+    # every table disagrees in k classes, so the tally is k per
+    # hypersemigroup; the verdicts, and so the counts, stay honest
+    honest = census(2, exhaustive=True)
+    monkeypatch.setattr(enumeration, "classify", flipping_routes(enumeration.classify, k))
+    report = census(2, exhaustive=True, jobs=1)
+    assert report.route_disagreements == 30 * k
+    assert report.hypersemigroups == honest.hypersemigroups == 30
+    assert report.combination_counts == honest.combination_counts
+    assert report.class_counts == honest.class_counts
+    assert honest.route_disagreements == 0
+
+
 def test_census_sampled_counts_and_determinism():
     a = census(3, sample=300, seed="s1")
     b = census(3, sample=300, seed="s1")
@@ -234,7 +249,7 @@ def _recording_worker(seen):
         # instead of streaming its tables
         _, size, tables = args
         seen.append((tables.args[-1], size))
-        return size, Counter()
+        return size, Counter(), 0
 
     return stub_worker
 
@@ -267,7 +282,7 @@ def test_exhaustive_partitions_join_to_the_odometer(order, monkeypatch):
         cells = list(tables())
         assert len(cells) == size
         streams.extend(cells)
-        return size, Counter()
+        return size, Counter(), 0
 
     monkeypatch.setattr(enumeration, "_census_part", streaming_worker)
     census(order, exhaustive=True)

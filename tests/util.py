@@ -7,7 +7,7 @@ import random
 from functools import cache
 from pathlib import Path
 
-from hypersemigroups import HyperOp, classify, mask_elements, subset_mask
+from hypersemigroups import CLASS_ORDER, HyperOp, classify, mask_elements, subset_mask
 
 # every order-3 hypersemigroup with its class key, found by the benchmark's
 # own search and oracle (perfbench/make_pool.py); read only
@@ -52,6 +52,20 @@ def fixed_hypersemigroups(count: int, orders=(2, 3, 4)) -> list[HyperOp]:
 
 
 NON_ASSOCIATIVE_2 = HyperOp(2, (2, 1, 1, 1))  # cell(0,0)={1}, rest {0}
+
+
+def flipping_routes(honest, k: int):
+    """``honest`` (a ``classify``) with the fuzzy verdict flipped in the
+    first k classes: every report then has exactly k classes whose routes
+    disagree, and its elementwise verdicts (so its combination key) stay."""
+
+    def flipped(h):
+        report = honest(h)
+        for cls in CLASS_ORDER[:k]:
+            report.classes[cls].fuzzy = not report.classes[cls].fuzzy
+        return report
+
+    return flipped
 
 
 @cache
