@@ -59,6 +59,10 @@ _WITNESS_ARITY: dict[RegularityClass, int] = {
 }
 
 
+def _yes(b: bool) -> str:
+    return "yes" if b else "no"
+
+
 @dataclass(frozen=True)
 class Witness:
     """Outcome of a per-element check on one route.
@@ -242,6 +246,26 @@ class ClassificationReport:
             "all_routes_agree": self.all_routes_agree,
         }
 
+    def render(self) -> str:
+        lines = [f"order: {self.order}"]
+        for cls in CLASS_ORDER:
+            cr = self.classes[cls]
+            routes = ", ".join(
+                f"{route}={_yes(v)}" for route, v in cr.to_dict()["routes"].items()
+            )
+            lines.append(
+                f"{cls.value}: {_yes(cr.verdict)}  "
+                f"({routes}; agree={_yes(cr.routes_agree)})"
+            )
+            for w in cr.witnesses:
+                if w.route == "elementwise" and w.holds:
+                    ws = ", ".join(str(x) for x in w.elements)
+                    lines.append(f"  a={w.element}: witness ({ws})")
+                elif not w.holds:
+                    lines.append(f"  fails at a={w.element} ({w.route})")
+        lines.append(f"all routes agree: {_yes(self.all_routes_agree)}")
+        return "\n".join(lines) + "\n"
+
 
 def classify(h: HyperOp) -> ClassificationReport:
     """Run every route decider on all five classes and flag any disagreement."""
@@ -308,6 +332,21 @@ class VerificationReport:
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
+
+    def render(self) -> str:
+        lines = [f"order: {self.order}"]
+        for check in self.checks:
+            line = (
+                f"{check.cls.value}: verdict={_yes(check.verdict)} "
+                f"routes_agree={_yes(check.routes_agree)} trials={check.trials}"
+            )
+            if check.counterexample is not None:
+                line += f" counterexample=({check.counterexample})"
+            if not check.failure_reverified:
+                line += " failure-witness-did-not-reverify"
+            lines.append(line)
+        lines.append(f"result: {'pass' if self.passed else 'FAIL'}")
+        return "\n".join(lines) + "\n"
 
 
 def verify_theorems(

@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Exit codes, mapped from exceptions in ``main`` alone: 0 clean run, 1 a
-verification found a counterexample or a census recorded route
-disagreements, 2 input/usage error (any ``ValueError``: parse failures and
+Exit codes, mapped from exceptions in ``main`` alone: 0 clean run, 1
+``classify``, ``verify`` or ``census`` found a counterexample or a route
+disagreement, 2 input/usage error (any ``ValueError``: parse failures and
 every argument the library refuses), 3 the input table is not a
 hypersemigroup where one is required, 4 an unexpected internal error, 130
 (128 + SIGINT) the run was interrupted, e.g. by Ctrl-C, with one
@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .classify import CLASS_ORDER, ClassificationReport, classify, verify_theorems
+from .classify import _yes, classify, verify_theorems
 from .core import CarrierMismatchError, HyperOp, NotAssociativeError
 from .enumeration import census
 from .fuzzy import FuzzySubset, compose
@@ -76,64 +77,24 @@ def _parse_fuzzy(text: str, order: int) -> FuzzySubset:
     return FuzzySubset(tokens)
 
 
-def _fmt_values(f: FuzzySubset) -> str:
-    # Fraction renders p/q in lowest terms and integers bare
-    return ", ".join(str(v) for v in f.values)
-
-
-def _yes(b: bool) -> str:
-    return "yes" if b else "no"
-
-
-def _render_classification(report: ClassificationReport) -> str:
-    lines = [f"order: {report.order}"]
-    for cls in CLASS_ORDER:
-        cr = report.classes[cls]
-        routes = ", ".join(
-            f"{route}={_yes(v)}" for route, v in cr.to_dict()["routes"].items()
-        )
-        lines.append(
-            f"{cls.value}: {_yes(cr.verdict)}  "
-            f"({routes}; agree={_yes(cr.routes_agree)})"
-        )
-        for w in cr.witnesses:
-            if w.route == "elementwise" and w.holds:
-                ws = ", ".join(str(x) for x in w.elements)
-                lines.append(f"  a={w.element}: witness ({ws})")
-            elif not w.holds:
-                lines.append(f"  fails at a={w.element} ({w.route})")
-    lines.append(f"all routes agree: {_yes(report.all_routes_agree)}")
-    return "\n".join(lines) + "\n"
+def _emit(report, as_json: bool, clean: bool) -> int:
+    # the one tail of classify, verify and census: the report, then 1 on a finding
+    if as_json:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    else:
+        print(report.render(), end="")
+    return EXIT_OK if clean else EXIT_FOUND
 
 
 def _cmd_classify(args) -> int:
     report = classify(_load_table(args.table))
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(_render_classification(report), end="")
-    return EXIT_OK
+    return _emit(report, args.json, report.all_routes_agree)
 
 
 def _cmd_verify(args) -> int:
     h = _load_table(args.table)
     report = verify_theorems(h, random_trials=args.trials, seed=args.seed)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"order: {report.order}")
-        for check in report.checks:
-            line = (
-                f"{check.cls.value}: verdict={_yes(check.verdict)} "
-                f"routes_agree={_yes(check.routes_agree)} trials={check.trials}"
-            )
-            if check.counterexample is not None:
-                line += f" counterexample=({_fmt_values(check.counterexample)})"
-            if not check.failure_reverified:
-                line += " failure-witness-did-not-reverify"
-            print(line)
-        print(f"result: {'pass' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_FOUND
+    return _emit(report, args.json, report.passed)
 
 
 def _cmd_census(args) -> int:
@@ -152,29 +113,25 @@ def _cmd_census(args) -> int:
         allow_large=args.exhaustive,
         progress=progress,
     )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render(), end="")
-    return EXIT_OK if report.route_disagreements == 0 else EXIT_FOUND
+    return _emit(report, args.json, report.route_disagreements == 0)
 
 
 def _cmd_compose(args) -> int:
     h = _load_table(args.table)
     f = _parse_fuzzy(args.f, h.order)
     g = _parse_fuzzy(args.g, h.order)
-    print(_fmt_values(compose(h, f, g)))
+    print(compose(h, f, g))
     return EXIT_OK
 
 
 def _cmd_ideals(args) -> int:
     h = _load_table(args.table)
     f = _parse_fuzzy(args.f, h.order)
-    print(f"f: {_fmt_values(f)}")
+    print(f"f: {f}")
     print(f"fuzzy right ideal: {_yes(is_fuzzy_right_ideal(h, f))}")
     print(f"fuzzy left ideal: {_yes(is_fuzzy_left_ideal(h, f))}")
-    print(f"right ideal closure: {_fmt_values(right_ideal_closure(h, f))}")
-    print(f"left ideal closure: {_fmt_values(left_ideal_closure(h, f))}")
+    print(f"right ideal closure: {right_ideal_closure(h, f)}")
+    print(f"left ideal closure: {left_ideal_closure(h, f)}")
     return EXIT_OK
 
 
@@ -242,7 +199,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a bug, not a finding: one line naming where it was raised, and a
         # code that cannot be mistaken for EXIT_FOUND
         frame = traceback.extract_tb(exc.__traceback__)[-1]
-        where = f"{Path(frame.filename).name}:{frame.lineno}"
+        # a worker process's exception carries its traceback as text on the cause
+        tb_text = getattr(exc.__cause__, "tb", "")
+        remote = re.findall(r'^  File "(.+)", line (\d+)', tb_text, re.M)
+        filename, lineno = remote[-1] if remote else (frame.filename, frame.lineno)
+        where = f"{Path(filename).name}:{lineno}"
         return _fail(
             f"internal error: {type(exc).__name__}: {exc} (at {where})",
             EXIT_INTERNAL,

@@ -79,8 +79,12 @@ class FuzzySubset:
     def __hash__(self) -> int:
         return hash(self.values)
 
+    def __str__(self) -> str:
+        # Fraction renders p/q in lowest terms and integers bare
+        return ", ".join(str(v) for v in self.values)
+
     def __repr__(self) -> str:
-        return f"FuzzySubset(({', '.join(str(v) for v in self.values)}))"
+        return f"FuzzySubset(({self}))"
 
     def leq(self, other: FuzzySubset) -> bool:
         """Pointwise order: self(x) <= other(x) for every x."""

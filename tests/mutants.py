@@ -122,6 +122,13 @@ MUTANTS = [
         "disagreements += 0",
         ["tests/test_enumeration.py::test_census_counts_every_disagreeing_class"],
     ),
+    (
+        "the shared report tail ignores its verdict",
+        PKG + "cli.py",
+        "return EXIT_OK if clean else EXIT_FOUND",
+        "return EXIT_OK",
+        ["tests/test_cli.py::test_classify_exits_1_when_routes_disagree"],
+    ),
 ]
 
 # appended to the copy's conftest: the tests must import the copy's package

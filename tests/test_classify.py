@@ -404,6 +404,28 @@ def test_verify_records_the_first_sampled_counterexample(monkeypatch, tmp_path, 
     assert len(lines) == 7 and all(" trials=1 " in line for line in lines[1:-1])
 
 
+def test_verify_prints_a_sampled_counterexample(monkeypatch, tmp_path, capsys):
+    # the stub of test_verify_records_the_first_sampled_counterexample
+    module = importlib.import_module("hypersemigroups.classify")
+    honest = module.fuzzy_inequality_holds
+    h = HyperOp.left_zero(2)
+    points = {point(2, a) for a in range(2)}
+
+    def failing_off_indicators(h, cls, f):
+        return f in points and honest(h, cls, f)
+
+    monkeypatch.setattr(module, "fuzzy_inequality_holds", failing_off_indicators)
+    report = verify_theorems(h, random_trials=3, seed="cx")
+    first = report.checks[0].counterexample
+    assert report.render().splitlines()[1] == (
+        f"regular: verdict=yes routes_agree=yes trials=1 counterexample=({first})"
+    )
+    path = tmp_path / "left_zero.txt"
+    path.write_text(serialize_table(h), encoding="utf-8")
+    assert main(["verify", str(path), "--trials", "3", "--seed", "cx"]) == 1
+    assert capsys.readouterr().out == report.render()
+
+
 def test_elementwise_matches_oracle_on_random_tables():
     for seed in range(8):
         h = random_hypersemigroup(3, f"cls:{seed}")

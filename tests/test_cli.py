@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import hypersemigroups
 from hypersemigroups import HyperOp, serialize_table
 from hypersemigroups.cli import main
 
-from .util import NON_ASSOCIATIVE_2, flipping_routes
+from .util import NON_ASSOCIATIVE_2, flipping_routes, o3_pool_failing
 
 
 @pytest.fixture
@@ -440,3 +441,56 @@ def test_closed_stdout_exits_141_silently():
     _, err = proc.communicate(table, timeout=60)
     assert proc.returncode == 141
     assert err == b""
+
+
+def test_classify_exits_1_when_routes_disagree(table_file, monkeypatch, capsys):
+    import hypersemigroups.cli as cli_mod
+
+    flipped = flipping_routes(cli_mod.classify, 1)
+    monkeypatch.setattr(cli_mod, "classify", flipped)
+    h = HyperOp.left_zero(2)
+    report = flipped(h)
+    assert not report.all_routes_agree
+    path = table_file(h)
+    assert main(["classify", path]) == 1
+    assert capsys.readouterr().out == report.render()
+    assert main(["classify", path, "--json"]) == 1
+    assert capsys.readouterr().out == (
+        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    )
+
+
+def test_classify_and_verify_print_their_reports_render(
+    order2_hypersemigroups, table_file, capsys
+):
+    tables = order2_hypersemigroups + o3_pool_failing()
+    assert len(tables) == 30 + 501
+    for i, h in enumerate(tables):
+        path = table_file(h)
+        assert main(["classify", path]) == 0
+        assert capsys.readouterr().out == hypersemigroups.classify(h).render()
+        seed = f"render:{i}"
+        assert main(["verify", path, "--trials", "20", "--seed", seed]) == 0
+        expected = hypersemigroups.verify_theorems(h, random_trials=20, seed=seed)
+        assert capsys.readouterr().out == expected.render()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers must inherit the patched classify",
+)
+def test_census_worker_error_names_the_raising_frame(monkeypatch, capsys):
+    from hypersemigroups import enumeration
+
+    def broken(h):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(enumeration, "classify", broken)
+    code = main(["census", "--order", "2", "--exhaustive", "--jobs", "2"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal error: RuntimeError: injected "
+        f"(at test_cli.py:{broken.__code__.co_firstlineno + 1})\n"
+    )

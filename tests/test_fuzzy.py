@@ -44,6 +44,12 @@ def test_fuzzy_subset_is_exact_value_object():
     assert f[1] == Fraction(7, 10)
 
 
+def test_fuzzy_subset_prints_its_degrees_in_lowest_terms():
+    f = FuzzySubset(["2/4", 1])
+    assert str(f) == "1/2, 1"
+    assert repr(f) == "FuzzySubset((1/2, 1))"
+
+
 def test_fuzzy_subset_rejects_out_of_range():
     with pytest.raises(ValueError):
         FuzzySubset([Fraction(3, 2)])
